@@ -7,13 +7,12 @@ bound the optimum from above via axis projections, and check everything
 against exhaustive small-instance oracles.
 """
 
-from .bench import BenchRow, random_events, random_points, run_benchmark
-from .dynamic import DELETE, INSERT, UPDATE, CoverageState, Event, SwapReport, build
+from .bench import random_events, random_points, run_benchmark
+from .dynamic import DELETE, INSERT, CoverageState, Event, build
 from .formats import ParseError, format_points, format_trace, parse_points, parse_trace
 from .grid import (
     DISK,
     SQUARE,
-    CellIndex,
     GridConfig,
     Point,
     cantor_pair,
@@ -25,54 +24,39 @@ from .grid import (
     fold_signed,
     unfold_signed,
 )
-from .intervals import DPTable, IntervalInstance, dp_table, neighborhood_query, solve_mwpihp, upper_bound_2d
-from .oracle import OracleResult, OracleSizeError, exact_disk_opt, exact_mwpihp, exact_square_opt
+from .intervals import IntervalInstance, dp_table, neighborhood_query, solve_mwpihp, upper_bound_2d
+from .oracle import OracleSizeError, exact_disk_opt, exact_mwpihp, exact_square_opt
 from .placement import (
-    GUARANTEE,
     DiskGeometry,
-    DroneSite,
-    Placement,
     SquareGeometry,
-    cell_geometry,
     rank_cells,
     ratio_certificate,
     static_place,
     static_place_4m,
 )
-from .store import CellAggregate, DuplicateIdError, PointStore, UnknownIdError
+from .store import DuplicateIdError, PointStore, UnknownIdError
 
 __all__ = [
-    "BenchRow",
-    "CellAggregate",
-    "CellIndex",
     "CoverageState",
     "DELETE",
     "DISK",
-    "DPTable",
     "DiskGeometry",
-    "DroneSite",
     "DuplicateIdError",
     "Event",
-    "GUARANTEE",
     "GridConfig",
     "INSERT",
     "IntervalInstance",
-    "OracleResult",
     "OracleSizeError",
     "ParseError",
-    "Placement",
     "Point",
     "PointStore",
     "SQUARE",
     "SquareGeometry",
-    "SwapReport",
-    "UPDATE",
     "UnknownIdError",
     "build",
     "cantor_pair",
     "cantor_unpair",
     "cell_center",
-    "cell_geometry",
     "cell_index",
     "cell_key",
     "cell_key_to_index",

@@ -95,19 +95,21 @@ class CoverageState:
 
     # -- pool extrema ---------------------------------------------------
 
-    def _peek_min(self) -> tuple[float, int] | None:
-        """Valid (weight, key) top of the covered pool, pruning stale entries."""
+    def min_covered(self) -> tuple[int, float] | None:
+        """Lightest covered cell as (key, weight); ties break to the smaller
+        key. Stale heap entries on top are pruned on the way."""
         heap = self._heap_min
         covered = self._covered_weights
         while heap:
             w, key = heap[0]
             if covered.get(key) == w:
-                return w, key
+                return key, w
             heapq.heappop(heap)
         return None
 
-    def _peek_max(self) -> tuple[float, int] | None:
-        """Valid (weight, key) top of the uncovered pool, pruning stale entries."""
+    def max_uncovered(self) -> tuple[int, float] | None:
+        """Heaviest uncovered cell as (key, weight); ties break to the larger
+        key. Stale heap entries on top are pruned on the way."""
         heap = self._heap_max
         cells = self.store.cells
         assignment = self.assignment
@@ -116,19 +118,9 @@ class CoverageState:
             key = -nk
             agg = cells.get(key)
             if agg is not None and agg.weight == -nw and key not in assignment:
-                return -nw, key
+                return key, -nw
             heapq.heappop(heap)
         return None
-
-    def min_covered(self) -> tuple[int, float] | None:
-        """Lightest covered cell as (key, weight); ties break to the smaller key."""
-        top = self._peek_min()
-        return None if top is None else (top[1], top[0])
-
-    def max_uncovered(self) -> tuple[int, float] | None:
-        """Heaviest uncovered cell as (key, weight); ties break to the larger key."""
-        top = self._peek_max()
-        return None if top is None else (top[1], top[0])
 
     # -- queries ---------------------------------------------------------
 
@@ -172,66 +164,57 @@ class CoverageState:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
+        # a move takes a free drone and lands it on the heaviest uncovered
+        # cell (or parks it when there is none); the drone is freed by an
+        # evicted covered cell, taken from the parked ones, or taken from
+        # the lightest covered cell under the strict move rule
         assignment = self.assignment
+        vacated = drone = w_low = None
         if key in assignment:
             if evicted:
-                moved, vacated, occupied, drone = self._relocate_from(key)
+                vacated, drone = key, assignment.pop(key)
+                del self._covered_weights[key]
             else:
                 self._covered_weights[key] = new_w
                 heapq.heappush(self._heap_min, (new_w, key))
-                moved, vacated, occupied, drone = self._rebalance()
-        else:
-            if not evicted:
-                heapq.heappush(self._heap_max, (-new_w, -key))
-            moved, vacated, occupied, drone = self._rebalance()
+        elif not evicted:
+            heapq.heappush(self._heap_max, (-new_w, -key))
+
+        top = self.max_uncovered()
+        if drone is None:
+            if self._parked:
+                if top is not None:
+                    drone = heapq.heappop(self._parked)
+            else:
+                low = self.min_covered()
+                if low is not None and top is not None and top[1] > low[1]:  # strict move rule
+                    heapq.heappop(self._heap_min)
+                    vacated, w_low = low
+                    drone = assignment.pop(vacated)
+                    del self._covered_weights[vacated]
+        occupied = None
+        if drone is not None:
+            if top is None:
+                heapq.heappush(self._parked, drone)
+            else:
+                occupied = self._cover(drone)
+            if w_low is not None:
+                # pushed after _cover's pop: the heap layout decides which of
+                # two equal entries (weights 0.0 and -0.0) surfaces first
+                heapq.heappush(self._heap_max, (-w_low, -vacated))
 
         self._maybe_compact()
-        return SwapReport(moved, vacated, occupied, drone, self.covered_weight())
+        return SwapReport(drone is not None, vacated, occupied, drone, self.covered_weight())
 
-    def _relocate_from(self, key: int) -> tuple[bool, int | None, int | None, int]:
-        """A covered cell vanished: send its drone to the best uncovered cell
-        or park it."""
-        drone = self.assignment.pop(key)
-        del self._covered_weights[key]
-        top = self._peek_max()
-        if top is None:
-            heapq.heappush(self._parked, drone)
-            return True, key, None, drone
-        w2, k2 = top
-        heapq.heappop(self._heap_max)
-        self.assignment[k2] = drone
-        self._covered_weights[k2] = w2
-        heapq.heappush(self._heap_min, (w2, k2))
-        return True, key, k2, drone
-
-    def _rebalance(self) -> tuple[bool, int | None, int | None, int | None]:
-        """Restore the heaviest-cells property with at most one drone move."""
-        if self._parked:
-            top = self._peek_max()
-            if top is None:
-                return False, None, None, None
-            w2, k2 = top
-            heapq.heappop(self._heap_max)
-            drone = heapq.heappop(self._parked)
-            self.assignment[k2] = drone
-            self._covered_weights[k2] = w2
-            heapq.heappush(self._heap_min, (w2, k2))
-            return True, None, k2, drone
-        tmin = self._peek_min()
-        tmax = self._peek_max()
-        if tmin is None or tmax is None or tmax[0] <= tmin[0]:  # strict move rule
-            return False, None, None, None
-        wmin, kmin = tmin
-        wmax, kmax = tmax
-        heapq.heappop(self._heap_min)
-        heapq.heappop(self._heap_max)
-        drone = self.assignment.pop(kmin)
-        self.assignment[kmax] = drone
-        del self._covered_weights[kmin]
-        self._covered_weights[kmax] = wmax
-        heapq.heappush(self._heap_max, (-wmin, -kmin))
-        heapq.heappush(self._heap_min, (wmax, kmax))
-        return True, kmin, kmax, drone
+    def _cover(self, drone: int) -> int:
+        """Land ``drone`` on the heaviest uncovered cell, whose heap entry
+        max_uncovered() has just found valid; returns the cell key."""
+        nw, nk = heapq.heappop(self._heap_max)
+        key = -nk
+        self.assignment[key] = drone
+        self._covered_weights[key] = -nw
+        heapq.heappush(self._heap_min, (-nw, key))
+        return key
 
     def _maybe_compact(self) -> None:
         covered = len(self.assignment)

@@ -41,8 +41,7 @@ class GridConfig:
     m: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.r_cov, (int, float)) and math.isfinite(self.r_cov) and self.r_cov > 0):
-            raise ValueError(f"r_cov must be positive and finite, got {self.r_cov!r}")
+        check_size(self.r_cov, "r_cov")
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
@@ -55,17 +54,29 @@ class GridConfig:
         return math.sqrt(2.0) * self.r_cov
 
 
+def check_size(value, name: str) -> None:
+    """Reject a length that is not a positive finite int or float (bools
+    are not lengths)."""
+    if type(value) is bool or not (
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    ):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def cell_index(x: float, y: float, r: float) -> CellIndex:
     """Grid cell containing (x, y) for cell size r.
 
     Floor semantics toward -inf: a point exactly on a grid line belongs to
-    the cell with the larger index.
+    the cell with the larger index. A coordinate so far out that x / r
+    overflows has no cell and is rejected.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValueError(f"cell size must be positive and finite, got {r!r}")
-    return math.floor(x / r), math.floor(y / r)
+    check_size(r, "cell size")
+    try:
+        return math.floor(x / r), math.floor(y / r)
+    except OverflowError:
+        raise ValueError(f"cell index of ({x!r}, {y!r}) at cell size {r!r} is not finite") from None
 
 
 def fold_signed(z: int) -> int:
@@ -102,8 +113,13 @@ def cantor_unpair(z: int) -> tuple[int, int]:
 
 
 def cell_key(a: int, b: int) -> int:
-    """Natural-number identity of a cell index, injective over all of Z x Z."""
-    return cantor_pair(fold_signed(a), fold_signed(b))
+    """Natural-number identity of a cell index, injective over all of Z x Z:
+    cantor_pair(fold_signed(a), fold_signed(b)), written out because every
+    point insert, delete and update computes it."""
+    fa = a + a if a >= 0 else -a - a - 1
+    fb = b + b if b >= 0 else -b - b - 1
+    s = fa + fb
+    return (s + 1) * s // 2 + fb
 
 
 def cell_key_to_index(key: int) -> CellIndex:
@@ -114,7 +130,8 @@ def cell_key_to_index(key: int) -> CellIndex:
 
 def cell_center(index: CellIndex, r: float) -> tuple[float, float]:
     """Midpoint of the cell at ``index`` for cell size r."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
+    # check_size written out: disk placement calls this once per drone
+    if type(r) is bool or not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
         raise ValueError(f"cell size must be positive and finite, got {r!r}")
     a, b = index
     return (a + 0.5) * r, (b + 0.5) * r

@@ -10,9 +10,8 @@ both 1D instances yields an upper bound on the best m-square coverage.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .grid import GridConfig
+from .grid import GridConfig, check_size
 from .store import PointStore
 
 
@@ -24,8 +23,7 @@ class IntervalInstance:
     """
 
     def __init__(self, items, length: float, m: int):
-        if not (isinstance(length, (int, float)) and math.isfinite(length) and length > 0):
-            raise ValueError(f"interval length must be positive and finite, got {length!r}")
+        check_size(length, "interval length")
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ValueError(f"budget must be a non-negative integer, got {m!r}")
         pairs = sorted(((float(l), float(w)) for l, w in items), key=lambda it: it[0])
@@ -51,14 +49,6 @@ class IntervalInstance:
         return len(self.lefts)
 
 
-@dataclass
-class DPTable:
-    """best[j][k] = max weight pierceable among the first j intervals with k points."""
-
-    best: list[list[float]]
-    prefix_weights: list[float]
-
-
 def neighborhood_query(instance: IntervalInstance, j: int) -> tuple[int, float]:
     """Count and weight of intervals among the first j (1-based, sorted)
     whose left endpoint lies within ``length`` of the j-th left endpoint.
@@ -75,9 +65,11 @@ def neighborhood_query(instance: IntervalInstance, j: int) -> tuple[int, float]:
     return j - lo, instance.prefix_weights[j] - instance.prefix_weights[lo]
 
 
-def dp_table(instance: IntervalInstance) -> DPTable:
-    """Fill the piercing table: either the j-th interval's left endpoint is
-    the k-th piercing point (claiming its whole neighborhood) or it is not."""
+def dp_table(instance: IntervalInstance) -> list[list[float]]:
+    """Fill the piercing table best[j][k], the max weight pierceable among
+    the first j intervals with k points: either the j-th interval's left
+    endpoint is the k-th piercing point (claiming its whole neighborhood)
+    or it is not."""
     n, m = len(instance), instance.m
     neigh = [neighborhood_query(instance, j) for j in range(1, n + 1)]
     best = [[0.0] * (m + 1) for _ in range(n + 1)]
@@ -87,7 +79,7 @@ def dp_table(instance: IntervalInstance) -> DPTable:
             skip = best[j - 1][k]
             pierce = best[j - nj][k - 1] + wj
             best[j][k] = pierce if pierce > skip else skip
-    return DPTable(best, list(instance.prefix_weights))
+    return best
 
 
 def solve_mwpihp(instance: IntervalInstance) -> tuple[float, list[float]]:
@@ -96,8 +88,7 @@ def solve_mwpihp(instance: IntervalInstance) -> tuple[float, list[float]]:
     Points are recovered by backtracking and returned ascending; they are
     always left endpoints of input intervals. O(m n + n log n).
     """
-    table = dp_table(instance)
-    best = table.best
+    best = dp_table(instance)
     n, m = len(instance), instance.m
     points: list[float] = []
     j, k = n, m

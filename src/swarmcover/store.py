@@ -2,14 +2,13 @@
 
 A store is owned by a single writer; completed stores may be read
 concurrently between mutations. Aggregates are maintained incrementally
-(constant dictionary work per event); ``recompute()`` rebuilds them from
-the surviving points when an exact resummation is wanted.
+(constant dictionary work per event).
 """
 
 import math
 from dataclasses import dataclass
 
-from .grid import CellIndex, Point
+from .grid import CellIndex, Point, cell_key, check_size
 
 
 class DuplicateIdError(KeyError):
@@ -35,8 +34,7 @@ class PointStore:
     """
 
     def __init__(self, cell_size: float):
-        if not (isinstance(cell_size, (int, float)) and math.isfinite(cell_size) and cell_size > 0):
-            raise ValueError(f"cell size must be positive and finite, got {cell_size!r}")
+        check_size(cell_size, "cell size")
         self.cell_size = float(cell_size)
         self.points: dict[object, Point] = {}
         self.cells: dict[int, CellAggregate] = {}
@@ -45,15 +43,15 @@ class PointStore:
         return len(self.points)
 
     def _locate(self, x: float, y: float) -> tuple[int, int, int]:
+        # grid.cell_index without its argument checks, which insert has
+        # already made for the hot path
         r = self.cell_size
-        a = math.floor(x / r)
-        b = math.floor(y / r)
-        # cell_key(a, b) inlined for the per-event hot path; kept in
-        # lockstep with grid.cell_key by the test suite
-        fa = a + a if a >= 0 else -a - a - 1
-        fb = b + b if b >= 0 else -b - b - 1
-        s = fa + fb
-        return a, b, (s + 1) * s // 2 + fb
+        try:
+            a = math.floor(x / r)
+            b = math.floor(y / r)
+        except OverflowError:
+            raise ValueError(f"cell index of ({x!r}, {y!r}) at cell size {r!r} is not finite") from None
+        return a, b, cell_key(a, b)
 
     def insert(self, p: Point) -> tuple[int, float]:
         """Add a point; returns (cell key, new cell weight)."""
@@ -61,15 +59,16 @@ class PointStore:
             raise DuplicateIdError(f"point id {p.id!r} already present")
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ValueError(f"coordinates must be finite, got ({p.x!r}, {p.y!r})")
-        if not (isinstance(p.w, (int, float)) and math.isfinite(p.w) and p.w >= 0):
-            raise ValueError(f"weight must be finite and >= 0, got {p.w!r}")
+        w = p.w
+        if type(w) is bool or not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+            raise ValueError(f"weight must be finite and >= 0, got {w!r}")
         a, b, key = self._locate(p.x, p.y)
         agg = self.cells.get(key)
         if agg is None:
-            self.cells[key] = CellAggregate(p.w, 1, (a, b))
-            new_weight = p.w
+            self.cells[key] = CellAggregate(w, 1, (a, b))
+            new_weight = w
         else:
-            agg.weight += p.w
+            agg.weight += w
             agg.count += 1
             new_weight = agg.weight
         self.points[p.id] = p
@@ -99,7 +98,9 @@ class PointStore:
         p = self.points.get(pid)
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
-        if not (isinstance(w_new, (int, float)) and math.isfinite(w_new) and w_new >= 0):
+        if type(w_new) is bool or not (
+            isinstance(w_new, (int, float)) and math.isfinite(w_new) and w_new >= 0
+        ):
             raise ValueError(f"weight must be finite and >= 0, got {w_new!r}")
         delta = w_new - p.w
         _, _, key = self._locate(p.x, p.y)
@@ -111,20 +112,3 @@ class PointStore:
         """Aggregate weight of a cell, 0.0 for absent cells."""
         agg = self.cells.get(key)
         return 0.0 if agg is None else agg.weight
-
-    def nonempty_cells(self) -> list[tuple[int, CellAggregate]]:
-        """All live cells in ascending key order."""
-        return sorted(self.cells.items())
-
-    def recompute(self) -> None:
-        """Rebuild all aggregates from the surviving points from scratch."""
-        fresh: dict[int, CellAggregate] = {}
-        for p in self.points.values():
-            a, b, key = self._locate(p.x, p.y)
-            agg = fresh.get(key)
-            if agg is None:
-                fresh[key] = CellAggregate(p.w, 1, (a, b))
-            else:
-                agg.weight += p.w
-                agg.count += 1
-        self.cells = fresh

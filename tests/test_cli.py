@@ -55,6 +55,16 @@ def test_place_parse_error_exits_nonzero(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_place_unrepresentable_cell_index_exits_2(tmp_path, capsys):
+    f = tmp_path / "pts.txt"
+    f.write_text("1 1e300 0.0 1.0\n")
+    code, out, err = run_cli(capsys, "place", str(f), "--r-cov", "1e-300")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_replay_swap_and_noswap(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("a 0.5 0.5 10\nb 2.5 0.5 7\n")

@@ -31,6 +31,10 @@ def test_cell_index_rejects_bad_input():
         cell_index(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         cell_index(0.0, 0.0, -2.0)
+    with pytest.raises(ValueError):
+        cell_index(0.0, 0.0, True)
+    with pytest.raises(ValueError):
+        cell_index(1e300, 0.0, 1e-300)  # x / r overflows to inf
 
 
 def test_fold_signed_examples():
@@ -77,6 +81,7 @@ def test_cell_key_round_trip():
     for _ in range(2000):
         a, b = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
         assert cell_key_to_index(cell_key(a, b)) == (a, b)
+        assert cell_key(a, b) == cantor_pair(fold_signed(a), fold_signed(b))
 
 
 def test_cell_key_injective_small_window():
@@ -91,6 +96,9 @@ def test_cell_center_examples():
     assert cell_center((0, 0), 2.0) == (1.0, 1.0)
     assert cell_center((-1, -1), 2.0) == (-1.0, -1.0)
     assert cell_center((3, 5), 1.0) == (3.5, 5.5)
+    for r in (0.0, float("nan"), True):
+        with pytest.raises(ValueError):
+            cell_center((0, 0), r)
 
 
 def test_cell_center_maps_back_to_own_cell():
@@ -119,6 +127,8 @@ def test_grid_config_cell_sizes():
 def test_grid_config_validation():
     with pytest.raises(ValueError):
         GridConfig(0.0, "square", 1)
+    with pytest.raises(ValueError):
+        GridConfig(True, "square", 1)
     with pytest.raises(ValueError):
         GridConfig(1.0, "triangle", 1)
     with pytest.raises(ValueError):

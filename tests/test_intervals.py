@@ -51,6 +51,8 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         IntervalInstance([(0, 1)], 0.0, 1)
     with pytest.raises(ValueError):
+        IntervalInstance([(0, 1)], True, 1)
+    with pytest.raises(ValueError):
         IntervalInstance([(0, -1)], 1.0, 1)
     with pytest.raises(ValueError):
         IntervalInstance([(float("inf"), 1)], 1.0, 1)
@@ -105,7 +107,7 @@ def test_dp_table_monotone():
     rng = random.Random(61)
     for _ in range(40):
         items, length, m = random_interval_case(rng)
-        table = dp_table(IntervalInstance(items, length, m)).best
+        table = dp_table(IntervalInstance(items, length, m))
         for j in range(1, len(table)):
             for k in range(m + 1):
                 assert table[j][k] >= table[j - 1][k]

@@ -9,6 +9,7 @@ from swarmcover import (
     Point,
     PointStore,
     UnknownIdError,
+    cell_index,
     cell_key,
 )
 
@@ -33,12 +34,33 @@ def test_insert_examples():
 def test_insert_duplicate_and_invalid():
     store = PointStore(1.0)
     store.insert(Point(1, 0.0, 0.0, 1.0))
+    before = (dict(store.points), {key: (agg.weight, agg.count) for key, agg in store.cells.items()})
     with pytest.raises(DuplicateIdError):
         store.insert(Point(1, 2.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         store.insert(Point(2, float("nan"), 0.0, 1.0))
     with pytest.raises(ValueError):
         store.insert(Point(3, 0.0, 0.0, -1.0))
+    with pytest.raises(ValueError):
+        store.insert(Point(4, 0.0, 0.0, True))
+    after = (dict(store.points), {key: (agg.weight, agg.count) for key, agg in store.cells.items()})
+    assert after == before
+
+
+def test_store_rejects_bad_cell_size():
+    for size in (0.0, -1.0, float("inf"), True):
+        with pytest.raises(ValueError):
+            PointStore(size)
+
+
+def test_insert_with_unrepresentable_cell_index_leaves_store_unchanged():
+    # 1e300 / 1e-300 overflows to inf, which has no integer cell index
+    store = PointStore(1e-300)
+    store.insert(Point(1, 0.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        store.insert(Point(2, 1e300, 0.0, 1.0))
+    assert list(store.points) == [1]
+    assert [(agg.weight, agg.count) for agg in store.cells.values()] == [(1.0, 1)]
 
 
 def test_delete_examples():
@@ -71,6 +93,10 @@ def test_update_examples():
         store.update_weight(99, 1.0)
     with pytest.raises(ValueError):
         store.update_weight(1, -2.0)
+    with pytest.raises(ValueError):
+        store.update_weight(1, True)
+    assert store.points[1].w == 0.0
+    assert store.cell_weight(key) == 0.0
 
 
 def test_cell_weight_absent_is_zero():
@@ -91,11 +117,11 @@ def test_locate_agrees_with_cell_key():
 
 def test_nonempty_cells_sorted_and_counted():
     store = PointStore(1.0)
-    assert store.nonempty_cells() == []
+    assert sorted(store.cells.items()) == []
     store.insert(Point(1, 0.5, 0.5, 1.0))
     store.insert(Point(2, 0.6, 0.4, 2.0))
     store.insert(Point(3, 5.5, 0.5, 4.0))
-    cells = store.nonempty_cells()
+    cells = sorted(store.cells.items())
     assert [key for key, _ in cells] == sorted(key for key, _ in cells)
     assert len(cells) == 2
     assert sum(agg.count for _, agg in cells) == 3
@@ -105,7 +131,7 @@ def test_all_points_one_cell():
     store = PointStore(10.0)
     for i in range(25):
         store.insert(Point(i, float(i % 5), float(i // 5), 1.0))
-    cells = store.nonempty_cells()
+    cells = sorted(store.cells.items())
     assert len(cells) == 1
     assert cells[0][1].count == 25
 
@@ -124,11 +150,11 @@ def test_rebuild_equivalence_after_random_events():
                 store.delete(e.id)
             else:
                 store.update_weight(e.id, e.w)
-        incremental = {key: (agg.weight, agg.count) for key, agg in store.cells.items()}
-        store.recompute()
-        fresh = {key: (agg.weight, agg.count) for key, agg in store.cells.items()}
-        assert incremental.keys() == fresh.keys()
-        for key in fresh:
-            assert incremental[key][1] == fresh[key][1]
-            assert abs(incremental[key][0] - fresh[key][0]) <= 1e-9
+        members = {}
+        for p in store.points.values():
+            members.setdefault(cell_key(*cell_index(p.x, p.y, 1.0)), []).append(p.w)
+        assert store.cells.keys() == members.keys()
+        for key, weights in members.items():
+            assert store.cells[key].count == len(weights)
+            assert abs(store.cells[key].weight - math.fsum(weights)) <= 1e-9
         assert len(store.cells) <= len(store.points)
