@@ -77,7 +77,7 @@ def cmd_replay(args) -> int:
     for ordinal, event in enumerate(events, start=1):
         try:
             report = state.apply(event)
-        except (DuplicateIdError, UnknownIdError, ValueError) as exc:
+        except (DuplicateIdError, UnknownIdError, ValueError, OverflowError) as exc:
             print(f"error at event {ordinal}: {exc}", file=sys.stderr)
             return 1
         if args.verify:
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OracleSizeError, DuplicateIdError, UnknownIdError, ValueError, OSError) as exc:
+    except (ParseError, OracleSizeError, DuplicateIdError, UnknownIdError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,16 +17,18 @@ Moves compare weights strictly, so ties never oscillate. Pool extrema are
 served by lazily-pruned heaps keyed by (weight, cell key): stale entries
 are detected against the live cell table and dropped on sight, and a heap
 is rebuilt whenever stale entries dominate, keeping every event at
-O(log n) amortized. A state is single-writer; apply events sequentially.
+O(log n) amortized. Cell weights live only in the store; the covered
+weight is an exact integer total in units of 2**-1074, shifted by
+new - old per covered-cell change, so it costs O(1) per event. A state is
+single-writer; apply events sequentially.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .grid import GridConfig, Point
-from .placement import DroneSite, Placement, cell_geometry, rank_cells
+from .placement import Placement, check_same_grid, placement_of, rank_cells
 from .store import PointStore
 
 INSERT = "insert"
@@ -36,6 +38,14 @@ UPDATE = "update"
 # rebuild a heap once stale entries outnumber live ones this many times over
 _COMPACT_FACTOR = 4
 _COMPACT_SLACK = 64
+
+# the covered total counts steps of 2**-1074, the smallest float step
+_FIXED_ONE = 1 << 1074
+
+
+def _fixed(w: float) -> int:
+    n, d = w.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 @dataclass(frozen=True)
@@ -75,18 +85,15 @@ class CoverageState:
     """Live store plus drone assignment; create via :func:`build`."""
 
     def __init__(self, store: PointStore, config: GridConfig):
-        if store.cell_size != config.cell_size:
-            raise ValueError(
-                f"store cell size {store.cell_size!r} does not match config cell size {config.cell_size!r}"
-            )
+        check_same_grid(store, config)
         self.store = store
         self.config = config
         ranked = rank_cells(store)
         k = min(config.m, len(ranked))
         self.assignment: dict[int, int] = {key: i for i, (key, _) in enumerate(ranked[:k])}
-        # weights of the covered cells, kept bit-identical to the store
-        # aggregates at every mutation site; small and cache-hot
-        self._covered_weights: dict[int, float] = dict(ranked[:k])
+        # exact covered weight in 2**-1074 steps, and its rounding once asked for
+        self._covered_fixed = sum(_fixed(w) for _, w in ranked[:k])
+        self._covered: float | None = None
         self._parked: list[int] = list(range(k, config.m))  # ascending == valid heap
         self._heap_min: list[tuple[float, int]] = [(w, key) for key, w in ranked[:k]]
         heapq.heapify(self._heap_min)
@@ -99,10 +106,11 @@ class CoverageState:
         """Lightest covered cell as (key, weight); ties break to the smaller
         key. Stale heap entries on top are pruned on the way."""
         heap = self._heap_min
-        covered = self._covered_weights
+        cells = self.store.cells
+        assignment = self.assignment
         while heap:
             w, key = heap[0]
-            if covered.get(key) == w:
+            if key in assignment and cells[key].weight == w:
                 return key, w
             heapq.heappop(heap)
         return None
@@ -125,44 +133,39 @@ class CoverageState:
     # -- queries ---------------------------------------------------------
 
     def covered_weight(self) -> float:
-        """Total weight of the covered cells (order-independent exact sum)."""
-        return math.fsum(self._covered_weights.values())
+        """Total weight of the covered cells, correctly rounded from the exact
+        sum; OverflowError while that sum is past the float range."""
+        if self._covered is None:
+            self._covered = self._covered_fixed / _FIXED_ONE
+        return self._covered
 
     def placements(self) -> Placement:
         """Current drone geometry, one entry per drone, parked ones bare."""
-        by_drone = {d: key for key, d in self.assignment.items()}
-        cells = self.store.cells
-        drones = []
-        for i in range(self.config.m):
-            key = by_drone.get(i)
-            if key is None:
-                drones.append(DroneSite(i, None, None))
-            else:
-                drones.append(DroneSite(i, key, cell_geometry(cells[key].index, self.config)))
-        return Placement(tuple(drones), self.covered_weight(), self.config)
+        by_drone = {drone: key for key, drone in self.assignment.items()}
+        keys = [by_drone.get(i) for i in range(self.config.m)]
+        return placement_of(keys, self.covered_weight(), self.store, self.config)
 
     # -- mutation ---------------------------------------------------------
 
     def apply(self, event: Event) -> SwapReport:
-        """Apply one event; the store is untouched if the event is invalid."""
+        """Apply one event; the store is untouched if the event is invalid.
+        An event that takes the covered total past the float range is
+        applied, then raises covered_weight()'s OverflowError."""
         store = self.store
         kind = event.kind
         if kind == INSERT:
             if event.x is None or event.y is None or event.w is None:
                 raise ValueError("insert event needs coordinates and a weight")
-            key, new_w = store.insert(Point(event.id, event.x, event.y, event.w))
-            evicted = False
+            key, old_w, new_w = store.insert(Point(event.id, event.x, event.y, event.w))
         elif kind == DELETE:
-            key, new_w = store.delete(event.id)
-            evicted = key not in store.cells
+            key, old_w, new_w = store.delete(event.id)
         elif kind == UPDATE:
             if event.w is None:
                 raise ValueError("update event needs a weight")
-            key, _ = store.update_weight(event.id, event.w)
-            new_w = store.cells[key].weight
-            evicted = False
+            key, old_w, new_w = store.update_weight(event.id, event.w)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
+        evicted = key not in store.cells
 
         # a move takes a free drone and lands it on the heaviest uncovered
         # cell (or parks it when there is none); the drone is freed by an
@@ -173,9 +176,9 @@ class CoverageState:
         if key in assignment:
             if evicted:
                 vacated, drone = key, assignment.pop(key)
-                del self._covered_weights[key]
+                self._shift_covered(-_fixed(old_w))
             else:
-                self._covered_weights[key] = new_w
+                self._shift_covered(_fixed(new_w) - _fixed(old_w))
                 heapq.heappush(self._heap_min, (new_w, key))
         elif not evicted:
             heapq.heappush(self._heap_max, (-new_w, -key))
@@ -191,7 +194,7 @@ class CoverageState:
                     heapq.heappop(self._heap_min)
                     vacated, w_low = low
                     drone = assignment.pop(vacated)
-                    del self._covered_weights[vacated]
+                    self._shift_covered(-_fixed(w_low))
         occupied = None
         if drone is not None:
             if top is None:
@@ -212,14 +215,19 @@ class CoverageState:
         nw, nk = heapq.heappop(self._heap_max)
         key = -nk
         self.assignment[key] = drone
-        self._covered_weights[key] = -nw
+        self._shift_covered(_fixed(-nw))
         heapq.heappush(self._heap_min, (-nw, key))
         return key
+
+    def _shift_covered(self, delta: int) -> None:
+        # rounded on the next read: an unroundable total raises, never goes stale
+        self._covered_fixed += delta
+        self._covered = None
 
     def _maybe_compact(self) -> None:
         covered = len(self.assignment)
         if len(self._heap_min) > _COMPACT_FACTOR * covered + _COMPACT_SLACK:
-            self._heap_min = [(w, key) for key, w in self._covered_weights.items()]
+            self._heap_min = [(self.store.cells[key].weight, key) for key in self.assignment]
             heapq.heapify(self._heap_min)
         uncovered = len(self.store.cells) - covered
         if len(self._heap_max) > _COMPACT_FACTOR * uncovered + _COMPACT_SLACK:

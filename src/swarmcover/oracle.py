@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .grid import Point
+from .grid import Point, check_size
 from .intervals import IntervalInstance
 
 MAX_SQUARE_POINTS, MAX_SQUARE_SHAPES = 12, 3
@@ -80,8 +80,7 @@ def exact_square_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleRes
         )
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m!r}")
-    if not (r_cov > 0 and math.isfinite(r_cov)):
-        raise ValueError(f"r_cov must be positive and finite, got {r_cov!r}")
+    check_size(r_cov, "r_cov")
     if n == 0 or m == 0:
         return OracleResult(0.0, (), (n, m))
     side = 2.0 * r_cov
@@ -115,8 +114,7 @@ def exact_disk_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResul
         )
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m!r}")
-    if not (r_cov > 0 and math.isfinite(r_cov)):
-        raise ValueError(f"r_cov must be positive and finite, got {r_cov!r}")
+    check_size(r_cov, "r_cov")
     if n == 0 or m == 0:
         return OracleResult(0.0, (), (n, m))
     r = float(r_cov)

@@ -63,24 +63,35 @@ def rank_cells(store: PointStore) -> list[tuple[int, float]]:
     )
 
 
+def check_same_grid(store: PointStore, config: GridConfig) -> None:
+    """Reject a store bucketed at another cell size than ``config``'s."""
+    if store.cell_size != config.cell_size:
+        raise ValueError(
+            f"store cell size {store.cell_size!r} does not match config cell size {config.cell_size!r}"
+        )
+
+
+def placement_of(keys: list[int | None], covered_weight: float, store: PointStore, config: GridConfig) -> Placement:
+    """One site per drone: drone i on cell ``keys[i]``, parked where that is None."""
+    cells = store.cells
+    drones = [
+        DroneSite(i, key, None if key is None else cell_geometry(cells[key].index, config))
+        for i, key in enumerate(keys)
+    ]
+    return Placement(tuple(drones), covered_weight, config)
+
+
 def static_place(store: PointStore, config: GridConfig) -> Placement:
     """Put one drone on each of the min(m, #cells) heaviest cells.
 
     Ties break toward the smaller cell key; surplus drones are parked with
     no geometry. The covered weight is the fsum of the chosen aggregates.
     """
-    if store.cell_size != config.cell_size:
-        raise ValueError(
-            f"store cell size {store.cell_size!r} does not match config cell size {config.cell_size!r}"
-        )
+    check_same_grid(store, config)
     chosen = rank_cells(store)[: config.m]
-    drones = [
-        DroneSite(i, key, cell_geometry(store.cells[key].index, config))
-        for i, (key, _) in enumerate(chosen)
-    ]
-    drones.extend(DroneSite(i, None, None) for i in range(len(chosen), config.m))
     covered = math.fsum(w for _, w in chosen)
-    return Placement(tuple(drones), covered, config)
+    keys = [key for key, _ in chosen] + [None] * (config.m - len(chosen))
+    return placement_of(keys, covered, store, config)
 
 
 def static_place_4m(store: PointStore, config: GridConfig) -> Placement:

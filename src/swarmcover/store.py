@@ -53,8 +53,9 @@ class PointStore:
             raise ValueError(f"cell index of ({x!r}, {y!r}) at cell size {r!r} is not finite") from None
         return a, b, cell_key(a, b)
 
-    def insert(self, p: Point) -> tuple[int, float]:
-        """Add a point; returns (cell key, new cell weight)."""
+    def insert(self, p: Point) -> tuple[int, float, float]:
+        """Add a point; returns (cell key, old cell weight, new cell weight),
+        the old weight 0.0 for a new cell."""
         if p.id in self.points:
             raise DuplicateIdError(f"point id {p.id!r} already present")
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
@@ -65,20 +66,23 @@ class PointStore:
         a, b, key = self._locate(p.x, p.y)
         agg = self.cells.get(key)
         if agg is None:
+            old, new = 0.0, w
             self.cells[key] = CellAggregate(w, 1, (a, b))
-            new_weight = w
         else:
-            agg.weight += w
+            old = agg.weight
+            new = old + w
+            if new == math.inf:  # an inf cell weight would never come back down
+                raise ValueError(f"cell weight {old!r} + {w!r} overflows the float range")
+            agg.weight = new
             agg.count += 1
-            new_weight = agg.weight
         self.points[p.id] = p
-        return key, new_weight
+        return key, old, new
 
-    def delete(self, pid: object) -> tuple[int, float]:
-        """Remove a point; returns (cell key, new cell weight).
+    def delete(self, pid: object) -> tuple[int, float, float]:
+        """Remove a point; returns (cell key, old cell weight, new cell weight).
 
-        The reported weight is 0.0 when the point was the cell's last and
-        the cell is evicted.
+        The new weight is 0.0 when the point was the cell's last and the
+        cell is evicted.
         """
         p = self.points.get(pid)
         if p is None:
@@ -86,15 +90,17 @@ class PointStore:
         del self.points[pid]
         _, _, key = self._locate(p.x, p.y)
         agg = self.cells[key]
+        old = agg.weight
         if agg.count == 1:
             del self.cells[key]
-            return key, 0.0
+            return key, old, 0.0
         agg.count -= 1
-        agg.weight -= p.w
-        return key, agg.weight
+        agg.weight = old - p.w
+        return key, old, agg.weight
 
-    def update_weight(self, pid: object, w_new: float) -> tuple[int, float]:
-        """Replace a point's weight; returns (cell key, delta = new - old)."""
+    def update_weight(self, pid: object, w_new: float) -> tuple[int, float, float]:
+        """Replace a point's weight; returns (cell key, old cell weight, new
+        cell weight). The stored ``Point`` is replaced, never mutated."""
         p = self.points.get(pid)
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
@@ -102,13 +108,14 @@ class PointStore:
             isinstance(w_new, (int, float)) and math.isfinite(w_new) and w_new >= 0
         ):
             raise ValueError(f"weight must be finite and >= 0, got {w_new!r}")
-        delta = w_new - p.w
         _, _, key = self._locate(p.x, p.y)
-        self.cells[key].weight += delta
-        p.w = w_new
-        return key, delta
+        agg = self.cells[key]
+        old = agg.weight
+        delta = w_new - p.w
+        new = old + delta
+        if new == math.inf:
+            raise ValueError(f"cell weight {old!r} + {delta!r} overflows the float range")
+        agg.weight = new
+        self.points[pid] = Point(p.id, p.x, p.y, w_new)
+        return key, old, new
 
-    def cell_weight(self, key: int) -> float:
-        """Aggregate weight of a cell, 0.0 for absent cells."""
-        agg = self.cells.get(key)
-        return 0.0 if agg is None else agg.weight

@@ -65,6 +65,25 @@ def test_place_unrepresentable_cell_index_exits_2(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_covered_total_past_float_range_is_an_error_not_a_traceback(tmp_path, capsys):
+    # each cell weight is finite; their sum is not
+    points = tmp_path / "pts.txt"
+    points.write_text("1 0.5 0.5 1e308\n2 2.6 0.5 1e308\n")
+    code, out, err = run_cli(capsys, "place", str(points), "--r-cov", "0.5", "--m", "2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    # the same two points reached by an event: replay stops at that event
+    points.write_text("1 0.5 0.5 1e308\n")
+    trace = tmp_path / "trace.txt"
+    trace.write_text("I 2 2.6 0.5 1e308\n")
+    code, out, err = run_cli(capsys, "replay", str(points), str(trace), "--r-cov", "0.5", "--m", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error at event 1:") and len(err.splitlines()) == 1
+
+
 def test_replay_swap_and_noswap(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("a 0.5 0.5 10\nb 2.5 0.5 7\n")

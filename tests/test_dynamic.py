@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -197,20 +199,24 @@ def test_pool_weights_match_store_aggregates_exactly():
     rng = random.Random(53)
     cfg = GridConfig(0.5, "square", 4)
     points, events = random_trace(rng, 30, 500, extent=5.0)
-    state = build(points, cfg)
-    for e in events:
-        state.apply(e)
-        mc = state.min_covered()
-        if mc is not None:
-            assert state.store.cells[mc[0]].weight == mc[1]
-        mu = state.max_uncovered()
-        if mu is not None:
-            assert state.store.cells[mu[0]].weight == mu[1]
-        assert len(state.assignment) == min(cfg.m, len(state.store.cells))
-        # the covered-weight record tracks the store aggregates bit-for-bit
-        assert state._covered_weights.keys() == state.assignment.keys()
-        for key, w in state._covered_weights.items():
-            assert state.store.cells[key].weight == w
+    # the same trace with weights whose float sums lose the smaller terms:
+    # a running float total of the covered weight drifts on it
+    magnitudes = (1e300, 1e16, 1.0, 5e-324, 0.0)
+    mixed_points = [Point(p.id, p.x, p.y, rng.choice(magnitudes)) for p in points]
+    mixed_events = [e if e.w is None else dataclasses.replace(e, w=rng.choice(magnitudes)) for e in events]
+    for points, events in ((points, events), (mixed_points, mixed_events)):
+        state = build(points, cfg)
+        for e in events:
+            state.apply(e)
+            cells = state.store.cells
+            mc = state.min_covered()
+            if mc is not None:
+                assert cells[mc[0]].weight == mc[1]
+            mu = state.max_uncovered()
+            if mu is not None:
+                assert cells[mu[0]].weight == mu[1]
+            assert len(state.assignment) == min(cfg.m, len(cells))
+            assert state.covered_weight() == math.fsum(cells[key].weight for key in state.assignment)
 
 
 def test_state_from_existing_store_requires_matching_cell_size():
@@ -238,3 +244,47 @@ def test_heavy_churn_on_tiny_instance_stays_exact():
         assert report.covered_weight_after == static_place(state.store, cfg).covered_weight
     assert len(state._heap_min) <= 4 * 1 + 64 + 1
     assert len(state._heap_max) <= 4 * 1 + 64 + 1
+
+
+def test_cell_weight_overflow_rejected_before_any_mutation():
+    cfg = GridConfig(0.5, "square", 1)
+    state = build([Point("a", 0.5, 0.5, 1e308), Point("b", 0.6, 0.6, 1.0), Point("c", 2.5, 0.5, 5.0)], cfg)
+
+    def snapshot():
+        cells = {key: (agg.weight, agg.count) for key, agg in state.store.cells.items()}
+        points = {pid: (p.x, p.y, p.w) for pid, p in state.store.points.items()}
+        return cells, points, dict(state.assignment), state.covered_weight(), state.min_covered(), state.max_uncovered()
+
+    before = snapshot()
+    with pytest.raises(ValueError):
+        state.apply(Event.insert("d", 0.7, 0.7, 1e308))
+    with pytest.raises(ValueError):
+        state.apply(Event.update("b", 1e308))
+    with pytest.raises(ValueError):
+        state.store.insert(Point("d", 0.7, 0.7, 1e308))
+    assert snapshot() == before
+    # the cell weight never reaches inf, so deleting the heavy point recovers it
+    assert state.apply(Event.delete("a")).covered_weight_after == 5.0
+
+
+def test_update_leaves_callers_point_unchanged():
+    p = Point(1, 0.5, 0.5, 3.0)
+    state = build([p], GridConfig(0.5, "square", 1))
+    state.apply(Event.update(1, 7.0))
+    assert p.w == 3.0
+    assert state.store.points[1].w == 7.0
+    assert state.covered_weight() == 7.0
+
+
+def test_covered_total_past_float_range_raises_until_back_in_range():
+    # each cell weight is finite; the two covered together are not
+    cfg = GridConfig(0.5, "square", 2)
+    state = build([Point("a", 0.5, 0.5, 1e308), Point("b", 2.5, 0.5, 1e308)], cfg)
+    with pytest.raises(OverflowError):
+        state.covered_weight()
+    with pytest.raises(OverflowError):
+        state.apply(Event.insert("c", 4.5, 0.5, 1.0))
+    with pytest.raises(OverflowError):
+        state.covered_weight()  # never a stale float
+    assert state.apply(Event.delete("a")).covered_weight_after == 1e308 + 1.0
+    assert state.covered_weight() == math.fsum(state.store.cells[key].weight for key in state.assignment)

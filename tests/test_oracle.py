@@ -149,6 +149,14 @@ def test_disk_size_guard():
         exact_disk_opt(pts[:2], 1.0, 3)
 
 
+def test_oracles_reject_bad_r_cov():
+    pts = [Point(1, 0.0, 0.0, 1.0)]
+    for r_cov in (0.0, -1.0, math.inf, math.nan, True):
+        for oracle in (exact_square_opt, exact_disk_opt):
+            with pytest.raises(ValueError, match="r_cov"):
+                oracle(pts, r_cov, 1)
+
+
 def test_disk_dominates_heuristic():
     rng = random.Random(97)
     for _ in range(60):

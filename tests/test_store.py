@@ -16,19 +16,14 @@ from swarmcover import (
 
 def test_insert_examples():
     store = PointStore(1.0)
-    key, weight = store.insert(Point(1, 0.5, 0.5, 3.0))
-    assert key == cell_key(0, 0)
-    assert weight == 3.0
+    key = cell_key(0, 0)
+    assert store.insert(Point(1, 0.5, 0.5, 3.0)) == (key, 0.0, 3.0)
     assert store.cells[key].count == 1
 
-    key2, weight2 = store.insert(Point(2, 0.9, 0.1, 2.0))
-    assert key2 == key
-    assert weight2 == 5.0
+    assert store.insert(Point(2, 0.9, 0.1, 2.0)) == (key, 3.0, 5.0)
     assert store.cells[key].count == 2
 
-    key3, weight3 = store.insert(Point(3, -0.5, 0.5, 1.0))
-    assert key3 == cell_key(-1, 0)
-    assert weight3 == 1.0
+    assert store.insert(Point(3, -0.5, 0.5, 1.0)) == (cell_key(-1, 0), 0.0, 1.0)
 
 
 def test_insert_duplicate_and_invalid():
@@ -69,9 +64,9 @@ def test_delete_examples():
     store.insert(Point(2, 0.9, 0.1, 2.0))
     key = cell_key(0, 0)
 
-    assert store.delete(2) == (key, 3.0)
+    assert store.delete(2) == (key, 5.0, 3.0)
     assert store.cells[key].count == 1
-    assert store.delete(1) == (key, 0.0)
+    assert store.delete(1) == (key, 3.0, 0.0)
     assert key not in store.cells
     with pytest.raises(UnknownIdError):
         store.delete(99)
@@ -82,12 +77,11 @@ def test_update_examples():
     store.insert(Point(1, 0.5, 0.5, 3.0))
     key = cell_key(0, 0)
 
-    assert store.update_weight(1, 5.0) == (key, 2.0)
-    assert store.cell_weight(key) == 5.0
-    assert store.update_weight(1, 5.0) == (key, 0.0)
-    assert store.cell_weight(key) == 5.0
-    k, delta = store.update_weight(1, 0.0)
-    assert (k, delta) == (key, -5.0)
+    assert store.update_weight(1, 5.0) == (key, 3.0, 5.0)
+    assert store.cells[key].weight == 5.0
+    assert store.update_weight(1, 5.0) == (key, 5.0, 5.0)
+    assert store.cells[key].weight == 5.0
+    assert store.update_weight(1, 0.0) == (key, 5.0, 0.0)
     assert store.cells[key].count == 1  # zero-weight point kept
     with pytest.raises(UnknownIdError):
         store.update_weight(99, 1.0)
@@ -96,12 +90,7 @@ def test_update_examples():
     with pytest.raises(ValueError):
         store.update_weight(1, True)
     assert store.points[1].w == 0.0
-    assert store.cell_weight(key) == 0.0
-
-
-def test_cell_weight_absent_is_zero():
-    store = PointStore(1.0)
-    assert store.cell_weight(12345) == 0.0
+    assert store.cells[key].weight == 0.0
 
 
 def test_locate_agrees_with_cell_key():
