@@ -6,13 +6,56 @@ share one length, piercing points can be restricted to left endpoints
 without loss, which makes a prefix dynamic program over the sorted left
 endpoints exact. Projecting a planar point set onto each axis and solving
 both 1D instances yields an upper bound on the best m-square coverage.
+
+Cost: an O(n log n) stable sort and neighbourhood search, then at most m
+vectorized O(n) DP rows, stopping early at the first row that repeats its
+predecessor. The bound keeps two rows, so it needs O(n) memory.
 """
 
-import math
-from bisect import bisect_left
+from collections import deque
+
+import numpy as np
 
 from .grid import GridConfig, check_size
 from .store import PointStore
+
+
+def _neighborhoods(lefts: np.ndarray, weights: np.ndarray, length: float):
+    """Check one axis and sort it stably by left endpoint. Returns (lefts,
+    weights, starts, windows): the intervals a point at the j-th left
+    endpoint stabs are starts[j]..j, of total weight windows[j]."""
+    check_size(length, "interval length")
+    for values, ok, rule in ((lefts, np.isfinite(lefts), "left endpoint must be finite"),
+                             (weights, np.isfinite(weights) & (weights >= 0), "weight must be finite and >= 0")):
+        if not ok.all():
+            raise ValueError(f"{rule}, got {float(values[ok.argmin()])!r}")
+    order = np.argsort(lefts, kind="stable")
+    lefts, weights = lefts[order], weights[order]
+    with np.errstate(over="ignore"):
+        # right endpoints rounded once, as l + length, so the stab test is exact
+        starts = np.searchsorted(lefts + float(length), lefts, side="left")
+        scale = 0  # weights scaled by 2**-scale only if the prefix overflows, as inf - inf is NaN
+        prefix = np.cumsum(np.concatenate(([0.0], weights)))
+        if prefix[-1] == np.inf:
+            scale = len(weights).bit_length() + 1
+            prefix = np.cumsum(np.concatenate(([0.0], np.ldexp(weights, -scale))))
+        return lefts, weights, starts, np.ldexp(prefix[1:] - prefix[starts], scale)
+
+
+def _dp_rows(starts: np.ndarray, windows: np.ndarray, m: int):
+    """Yield the rows best[., k], k = 0..m: best[j][k] is the max weight k
+    points pierce among the first j intervals, the better of skipping the
+    j-th and piercing its left endpoint (fmax skips a NaN pierce). Stops at
+    the first row equal to its predecessor; every later row equals it."""
+    row = np.zeros(len(windows) + 1)
+    yield row
+    for _ in range(m):
+        with np.errstate(over="ignore"):
+            nxt = np.fmax.accumulate(np.concatenate(([0.0], row[starts] + windows)))
+        if np.array_equal(nxt, row):
+            return
+        row = nxt
+        yield row
 
 
 class IntervalInstance:
@@ -23,27 +66,14 @@ class IntervalInstance:
     """
 
     def __init__(self, items, length: float, m: int):
-        check_size(length, "interval length")
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ValueError(f"budget must be a non-negative integer, got {m!r}")
-        pairs = sorted(((float(l), float(w)) for l, w in items), key=lambda it: it[0])
-        for l, w in pairs:
-            if not math.isfinite(l):
-                raise ValueError(f"left endpoint must be finite, got {l!r}")
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"weight must be finite and >= 0, got {w!r}")
-        self.lefts = [l for l, _ in pairs]
-        self.weights = [w for _, w in pairs]
+        pairs = np.array([(l, w) for l, w in items], dtype=float).reshape(-1, 2)
+        lefts, weights, self._starts, self._windows = _neighborhoods(pairs[:, 0], pairs[:, 1], length)
         self.length = float(length)
         self.m = m
-        # right endpoints, rounded once; all stab tests use these so the
-        # boundary predicate matches "l <= t <= l + length" exactly
-        self.rights = [l + self.length for l in self.lefts]
-        self.prefix_weights = [0.0]
-        acc = 0.0
-        for w in self.weights:
-            acc += w
-            self.prefix_weights.append(acc)
+        self.lefts = lefts.tolist()
+        self.weights = weights.tolist()
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -54,54 +84,43 @@ def neighborhood_query(instance: IntervalInstance, j: int) -> tuple[int, float]:
     whose left endpoint lies within ``length`` of the j-th left endpoint.
 
     Those are exactly the intervals a point at the j-th left endpoint
-    stabs; they form a contiguous run found by binary search over the
-    right endpoints, so the query is O(log n) via a prefix-sum difference.
+    stabs; they form a contiguous run, found for every j at once when the
+    instance is built, so the query is an O(1) lookup.
     """
     n = len(instance)
     if not 1 <= j <= n:
         raise IndexError(f"position {j} out of range 1..{n}")
-    lj = instance.lefts[j - 1]
-    lo = bisect_left(instance.rights, lj, 0, j)
-    return j - lo, instance.prefix_weights[j] - instance.prefix_weights[lo]
+    return j - int(instance._starts[j - 1]), float(instance._windows[j - 1])
 
 
 def dp_table(instance: IntervalInstance) -> list[list[float]]:
-    """Fill the piercing table best[j][k], the max weight pierceable among
-    the first j intervals with k points: either the j-th interval's left
-    endpoint is the k-th piercing point (claiming its whole neighborhood)
-    or it is not."""
-    n, m = len(instance), instance.m
-    neigh = [neighborhood_query(instance, j) for j in range(1, n + 1)]
-    best = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for k in range(1, m + 1):
-        for j in range(1, n + 1):
-            nj, wj = neigh[j - 1]
-            skip = best[j - 1][k]
-            pierce = best[j - nj][k - 1] + wj
-            best[j][k] = pierce if pierce > skip else skip
-    return best
+    """Table best[j][k] (j <= n, k <= m): max weight k points pierce among the first j intervals."""
+    rows = list(_dp_rows(instance._starts, instance._windows, instance.m))
+    rows += [rows[-1]] * (instance.m + 1 - len(rows))
+    return np.array(rows).T.tolist()
 
 
 def solve_mwpihp(instance: IntervalInstance) -> tuple[float, list[float]]:
     """Best pierceable weight and at most m piercing points achieving it.
 
     Points are recovered by backtracking and returned ascending; they are
-    always left endpoints of input intervals. O(m n + n log n).
+    always left endpoints of input intervals.
     """
-    best = dp_table(instance)
-    n, m = len(instance), instance.m
+    rows = list(_dp_rows(instance._starts, instance._windows, instance.m))
     points: list[float] = []
-    j, k = n, m
+    j, k = len(instance), instance.m
     while j > 0 and k > 0:
-        if best[j][k] == best[j - 1][k]:
-            j -= 1
-        else:
-            points.append(instance.lefts[j - 1])
-            nj, _ = neighborhood_query(instance, j)
-            j -= nj
-            k -= 1
+        row = rows[min(k, len(rows) - 1)]
+        # rows never decrease in j: skip to the first j of this value,
+        # where piercing the j-th interval raised it
+        j = int(np.searchsorted(row, row[j], side="left"))
+        if j == 0:
+            break
+        points.append(instance.lefts[j - 1])
+        j = int(instance._starts[j - 1])
+        k -= 1
     points.reverse()
-    return best[n][m], points
+    return float(rows[-1][-1]), points
 
 
 def upper_bound_2d(store: PointStore, config: GridConfig) -> tuple[float, float, float]:
@@ -113,9 +132,11 @@ def upper_bound_2d(store: PointStore, config: GridConfig) -> tuple[float, float,
     (bound_x, bound_y, min of the two).
     """
     pts = store.points.values()
-    length = 2.0 * config.r_cov
-    xs = IntervalInstance(((p.x, p.w) for p in pts), length, config.m)
-    ys = IntervalInstance(((p.y, p.w) for p in pts), length, config.m)
-    bound_x, _ = solve_mwpihp(xs)
-    bound_y, _ = solve_mwpihp(ys)
+    ws = np.fromiter((p.w for p in pts), float, len(pts))
+    bounds = []
+    for coords in (np.fromiter((p.x for p in pts), float, len(pts)),
+                   np.fromiter((p.y for p in pts), float, len(pts))):
+        _, _, starts, windows = _neighborhoods(coords, ws, 2.0 * config.r_cov)
+        bounds.append(float(deque(_dp_rows(starts, windows, config.m), maxlen=1).pop()[-1]))  # last row only
+    bound_x, bound_y = bounds
     return bound_x, bound_y, min(bound_x, bound_y)

@@ -6,9 +6,12 @@ concurrently between mutations. Aggregates are maintained incrementally
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .grid import CellIndex, Point, cell_key, check_size
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class DuplicateIdError(KeyError):
@@ -61,7 +64,9 @@ class PointStore:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ValueError(f"coordinates must be finite, got ({p.x!r}, {p.y!r})")
         w = p.w
-        if type(w) is bool or not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+        # a chained compare, not math.isfinite, which raises OverflowError
+        # for an int past the float range
+        if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
             raise ValueError(f"weight must be finite and >= 0, got {w!r}")
         a, b, key = self._locate(p.x, p.y)
         agg = self.cells.get(key)
@@ -104,9 +109,7 @@ class PointStore:
         p = self.points.get(pid)
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
-        if type(w_new) is bool or not (
-            isinstance(w_new, (int, float)) and math.isfinite(w_new) and w_new >= 0
-        ):
+        if type(w_new) is bool or not (isinstance(w_new, (int, float)) and 0.0 <= w_new <= _FLOAT_MAX):
             raise ValueError(f"weight must be finite and >= 0, got {w_new!r}")
         _, _, key = self._locate(p.x, p.y)
         agg = self.cells[key]

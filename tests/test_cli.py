@@ -188,6 +188,16 @@ def test_bound_reports_three_lines(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "bound 4.0"
 
 
+def test_bound_window_weights_past_float_range(tmp_path, capsys):
+    # the y-intervals are disjoint, so one piercing point takes 1e308; the
+    # x-intervals coincide and their 2e308 is past the float range
+    f = tmp_path / "pts.txt"
+    f.write_text("1 0.5 0.5 1e308\n2 0.5 2.6 1e308\n")
+    code, out, _ = run_cli(capsys, "bound", str(f), "--r-cov", "0.5", "--m", "1")
+    assert code == 0
+    assert out.strip().splitlines() == ["bound_x inf", "bound_y 1e+308", "bound 1e+308"]
+
+
 def test_bench_rows_and_zero_events(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "100,1000", "--events", "50", "--seed", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -35,6 +36,65 @@ def pierced_weight(instance, points):
         if any(l <= t <= l + instance.length for t in points):
             total += w
     return total
+
+
+def reference_dp(items, length, m):
+    """The list DP the vectorized one replaced, kept as the reference.
+
+    Sorts the items itself, finds each neighbourhood by bisection over the
+    right endpoints with prefix-sum differences, and fills best[j][k]
+    cell by cell. Returns (sorted (left, weight) pairs, neighbourhoods,
+    table, (best, points)).
+    """
+    pairs = sorted(((float(l), float(w)) for l, w in items), key=lambda it: it[0])
+    lefts = [l for l, _ in pairs]
+    rights = [l + length for l in lefts]
+    prefix = [0.0]
+    acc = 0.0
+    for _, w in pairs:
+        acc += w
+        prefix.append(acc)
+    n = len(pairs)
+    neigh = []
+    for j in range(1, n + 1):
+        lo = bisect_left(rights, lefts[j - 1], 0, j)
+        neigh.append((j - lo, prefix[j] - prefix[lo]))
+    best = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for k in range(1, m + 1):
+        for j in range(1, n + 1):
+            nj, wj = neigh[j - 1]
+            skip = best[j - 1][k]
+            pierce = best[j - nj][k - 1] + wj
+            best[j][k] = pierce if pierce > skip else skip
+    points = []
+    j, k = n, m
+    while j > 0 and k > 0:
+        if best[j][k] == best[j - 1][k]:
+            j -= 1
+        else:
+            points.append(lefts[j - 1])
+            j -= neigh[j - 1][0]
+            k -= 1
+    points.reverse()
+    return pairs, neigh, best, (best[n][m], points)
+
+
+def differential_case(rng, n):
+    """Items with duplicate lefts, exact ties, zero weights and endpoints
+    that touch exactly (l_i + length == l_j on a half-integer grid), or
+    plain random ones; weights mix magnitudes so that float rounding
+    depends on the order of the sums."""
+    if rng.random() < 0.6:
+        length = rng.choice([0.5, 1.0, 2.5])
+        span = rng.randint(1, max(1, n // 2))
+        lefts = [rng.choice([-0.0, 0.0]) if rng.random() < 0.05 else 0.5 * rng.randint(-span, span)
+                 for _ in range(n)]
+    else:
+        length = rng.uniform(0.1, 5.0)
+        lefts = [rng.uniform(-50.0, 50.0) for _ in range(n)]
+    pool = [0.0, -0.0, 1.0, 2.0, 3.0, 0.1, 1e16, 5e-324, rng.uniform(0.0, 10.0)]
+    weights = [rng.choice(pool) if rng.random() < 0.7 else rng.uniform(0.0, 10.0) for _ in range(n)]
+    return list(zip(lefts, weights)), length
 
 
 def three_interval_instance(m):
@@ -188,3 +248,54 @@ def test_upper_bound_dominates_opt_on_exact_boundary_instance():
     opt = exact_square_opt(pts, r_cov, 2).opt_weight
     _, _, bound = upper_bound_2d(store, cfg)
     assert bound >= opt - 1e-9
+
+
+def assert_matches_reference(items, length, m):
+    inst = IntervalInstance(items, length, m)
+    pairs, neigh, best, solved = reference_dp(items, length, m)
+    assert inst.lefts == [l for l, _ in pairs]
+    assert inst.weights == [w for _, w in pairs]
+    assert [neighborhood_query(inst, j) for j in range(1, len(inst) + 1)] == neigh
+    assert dp_table(inst) == best
+    assert solve_mwpihp(inst) == solved
+
+
+def test_vectorized_dp_equals_reference_list_dp():
+    rng = random.Random(73)
+    for n_max in [1, 2, 5, 12, 40] * 30 + [300] * 15:
+        n = rng.randint(0, n_max)
+        assert_matches_reference(*differential_case(rng, n), rng.randint(0, min(40, 3 * n + 1)))
+    for n in (1_000, 10_000):
+        assert_matches_reference(*differential_case(rng, n), rng.randint(30, 40))
+
+
+def test_upper_bound_equals_reference_per_axis():
+    rng = random.Random(79)
+    for n_max in [0, 1, 3, 10, 60] * 8 + [2000] * 2:
+        xs, length = differential_case(rng, rng.randint(0, n_max))
+        m = rng.randint(1, 40)
+        pts = [Point(i, x, rng.choice([x, rng.uniform(-50.0, 50.0)]), w) for i, (x, w) in enumerate(xs)]
+        cfg = GridConfig(length / 2.0, "square", m)
+        got = upper_bound_2d(make_store(pts, cfg.cell_size), cfg)
+        assert all(type(v) is float for v in got)
+        bound_x = reference_dp([(p.x, p.w) for p in pts], length, m)[3][0]
+        bound_y = reference_dp([(p.y, p.w) for p in pts], length, m)[3][0]
+        assert got == (bound_x, bound_y, min(bound_x, bound_y))
+
+
+def test_budget_past_n_stops_early_with_the_same_answer():
+    rng = random.Random(83)
+    for n_max in [1, 5, 30, 200] * 10:
+        n = rng.randint(1, n_max)
+        items, length = differential_case(rng, n)
+        assert solve_mwpihp(IntervalInstance(items, length, 10 * n)) == solve_mwpihp(IntervalInstance(items, length, n))
+
+
+def test_window_weights_past_float_range_stay_exact_per_window():
+    # the prefix sum 1e308 + 1e308 overflows; each window still fits
+    inst = IntervalInstance([(0.0, 1e308), (5.0, 1e308)], 1.0, 1)
+    assert neighborhood_query(inst, 1) == (1, 1e308)
+    assert neighborhood_query(inst, 2) == (1, 1e308)
+    assert solve_mwpihp(inst) == (1e308, [0.0])
+    best, _ = solve_mwpihp(IntervalInstance([(0.0, 1e308), (5.0, 1e308)], 1.0, 2))
+    assert best == float("inf")  # the true optimum 2e308 is past the float range

@@ -38,6 +38,8 @@ def test_insert_duplicate_and_invalid():
         store.insert(Point(3, 0.0, 0.0, -1.0))
     with pytest.raises(ValueError):
         store.insert(Point(4, 0.0, 0.0, True))
+    with pytest.raises(ValueError):
+        store.insert(Point(5, 0.0, 0.0, 10**400))  # an int past the float range
     after = (dict(store.points), {key: (agg.weight, agg.count) for key, agg in store.cells.items()})
     assert after == before
 
@@ -89,6 +91,8 @@ def test_update_examples():
         store.update_weight(1, -2.0)
     with pytest.raises(ValueError):
         store.update_weight(1, True)
+    with pytest.raises(ValueError):
+        store.update_weight(1, 10**400)
     assert store.points[1].w == 0.0
     assert store.cells[key].weight == 0.0
 
