@@ -8,7 +8,7 @@ bound tells us how far from optimal we could possibly be.
 
 import numpy as np
 
-from swarmcover import GridConfig, Point, PointStore, ratio_certificate, static_place, upper_bound_2d
+from swarmcover import GUARANTEE, GridConfig, Point, PointStore, static_place, upper_bound_2d
 
 rng = np.random.default_rng(42)
 
@@ -38,7 +38,7 @@ for p in points:
     store.insert(p)
 
 placement = static_place(store, config)
-lower, factor = ratio_certificate(placement)
+factor = GUARANTEE[config.shape]
 bound_x, bound_y, bound = upper_bound_2d(store, config)
 
 print(f"\ncell size {config.cell_size:.1f}, {config.m} drones")

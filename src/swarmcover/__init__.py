@@ -7,7 +7,6 @@ bound the optimum from above via axis projections, and check everything
 against exhaustive small-instance oracles.
 """
 
-from .bench import random_events, random_points, run_benchmark
 from .dynamic import DELETE, INSERT, CoverageState, Event, build
 from .formats import ParseError, format_points, format_trace, parse_points, parse_trace
 from .grid import (
@@ -27,10 +26,10 @@ from .grid import (
 from .intervals import IntervalInstance, dp_table, neighborhood_query, solve_mwpihp, upper_bound_2d
 from .oracle import OracleSizeError, exact_disk_opt, exact_mwpihp, exact_square_opt
 from .placement import (
+    GUARANTEE,
     DiskGeometry,
     SquareGeometry,
     rank_cells,
-    ratio_certificate,
     static_place,
     static_place_4m,
 )
@@ -43,6 +42,7 @@ __all__ = [
     "DiskGeometry",
     "DuplicateIdError",
     "Event",
+    "GUARANTEE",
     "GridConfig",
     "INSERT",
     "IntervalInstance",
@@ -70,11 +70,7 @@ __all__ = [
     "neighborhood_query",
     "parse_points",
     "parse_trace",
-    "random_events",
-    "random_points",
     "rank_cells",
-    "ratio_certificate",
-    "run_benchmark",
     "solve_mwpihp",
     "static_place",
     "static_place_4m",

@@ -1,4 +1,4 @@
-"""Command-line surface: place, replay, oracle, bound, bench.
+"""Command-line surface: place, replay, oracle, bound.
 
 Inputs are file paths ('-' reads standard input); reports go to standard
 output, errors to standard error with a nonzero exit code.
@@ -7,7 +7,6 @@ output, errors to standard error with a nonzero exit code.
 import argparse
 import sys
 
-from .bench import run_benchmark
 from .dynamic import build
 from .formats import ParseError, parse_points, parse_trace
 from .grid import DISK, SQUARE, GridConfig
@@ -125,21 +124,8 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = run_benchmark(sizes, args.events, args.seed, r_cov=args.r_cov, shape=args.shape, m=args.m)
-    print("n events build_s median_us p99_us")
-    for row in rows:
-        print(
-            f"{row.n} {row.events} {row.build_seconds:.3f}"
-            f" {row.median_us:.3f} {row.p99_us:.3f}"
-        )
-    return 0
-
-
-def _add_geometry_flags(parser, require_r_cov=True):
-    parser.add_argument("--r-cov", type=float, required=require_r_cov, default=None if require_r_cov else 0.5,
-                        help="covering radius of one drone")
+def _add_geometry_flags(parser):
+    parser.add_argument("--r-cov", type=float, required=True, help="covering radius of one drone")
     parser.add_argument("--m", type=int, default=1, help="number of drones")
     parser.add_argument("--shape", choices=(SQUARE, DISK), default=SQUARE)
 
@@ -170,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points")
     _add_geometry_flags(p)
     p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("bench", help="per-event latency across instance sizes")
-    p.add_argument("--sizes", default="1000,10000,100000,1000000",
-                   help="comma-separated instance sizes")
-    p.add_argument("--events", type=int, default=10000, help="events per size")
-    p.add_argument("--seed", type=int, default=0)
-    _add_geometry_flags(p, require_r_cov=False)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

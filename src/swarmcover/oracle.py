@@ -65,24 +65,33 @@ def _best_union(maximal: list[int], k: int, wsum: list[float]) -> tuple[float, t
     return best_w, best_combo
 
 
-def exact_square_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResult:
-    """Best total weight coverable by m axis-aligned squares of side 2 * r_cov.
+def _guard(kind: str, n: int, m: int, max_n: int, max_m: int) -> None:
+    if n > max_n or m > max_m:
+        raise OracleSizeError(f"{kind} oracle is guarded to n <= {max_n}, m <= {max_m}; got n={n}, m={m}")
 
-    Candidate squares have their left edge on some point's x and bottom
-    edge on some point's y; any square can be shifted onto such a position
-    without dropping a covered point, so the restriction is lossless.
+
+def _exact_opt(points, r_cov, m, kind, max_n, max_m, candidates) -> OracleResult:
+    """Check the instance, then take the best union of m maximal candidates.
+
+    ``candidates(pts, r_cov)`` maps each nonempty covered-point bitmask to
+    the first shape position that covers it.
     """
     pts = list(points)
     n = len(pts)
-    if n > MAX_SQUARE_POINTS or m > MAX_SQUARE_SHAPES:
-        raise OracleSizeError(
-            f"square oracle is guarded to n <= {MAX_SQUARE_POINTS}, m <= {MAX_SQUARE_SHAPES}; got n={n}, m={m}"
-        )
+    _guard(kind, n, m, max_n, max_m)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m!r}")
     check_size(r_cov, "r_cov")
     if n == 0 or m == 0:
         return OracleResult(0.0, (), (n, m))
+    cand = candidates(pts, r_cov)
+    maximal = _maximal_masks(cand)
+    wsum = _mask_weights([p.w for p in pts])
+    best_w, best_combo = _best_union(maximal, min(m, len(maximal)), wsum)
+    return OracleResult(best_w, tuple(cand[msk] for msk in best_combo), (n, m))
+
+
+def _square_candidates(pts: list[Point], r_cov: float) -> dict[int, tuple[float, float]]:
     side = 2.0 * r_cov
     cand: dict[int, tuple[float, float]] = {}
     for cx in sorted({p.x for p in pts}):
@@ -93,30 +102,11 @@ def exact_square_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleRes
                     mask |= 1 << i
             if mask:
                 cand.setdefault(mask, (cx, cy))
-    maximal = _maximal_masks(cand)
-    wsum = _mask_weights([p.w for p in pts])
-    best_w, best_combo = _best_union(maximal, min(m, len(maximal)), wsum)
-    return OracleResult(best_w, tuple(cand[msk] for msk in best_combo), (n, m))
+    return cand
 
 
-def exact_disk_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResult:
-    """Best total weight coverable by m disks of radius r_cov.
-
-    Candidate centers: every point, plus the two circles of radius r_cov
-    through each point pair closer than 2 * r_cov (the classical lossless
-    candidate set for equal disks).
-    """
-    pts = list(points)
+def _disk_candidates(pts: list[Point], r_cov: float) -> dict[int, tuple[float, float]]:
     n = len(pts)
-    if n > MAX_DISK_POINTS or m > MAX_DISK_SHAPES:
-        raise OracleSizeError(
-            f"disk oracle is guarded to n <= {MAX_DISK_POINTS}, m <= {MAX_DISK_SHAPES}; got n={n}, m={m}"
-        )
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m!r}")
-    check_size(r_cov, "r_cov")
-    if n == 0 or m == 0:
-        return OracleResult(0.0, (), (n, m))
     r = float(r_cov)
     slack = 1e-12 * (1.0 + r * r)  # construction rounding only, see module docstring
     centers: list[tuple[float, float]] = [(p.x, p.y) for p in pts]
@@ -145,19 +135,33 @@ def exact_disk_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResul
                 mask |= 1 << i
         if mask:
             cand.setdefault(mask, (cx, cy))
-    maximal = _maximal_masks(cand)
-    wsum = _mask_weights([p.w for p in pts])
-    best_w, best_combo = _best_union(maximal, min(m, len(maximal)), wsum)
-    return OracleResult(best_w, tuple(cand[msk] for msk in best_combo), (n, m))
+    return cand
+
+
+def exact_square_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResult:
+    """Best total weight coverable by m axis-aligned squares of side 2 * r_cov.
+
+    Candidate squares have their left edge on some point's x and bottom
+    edge on some point's y; any square can be shifted onto such a position
+    without dropping a covered point, so the restriction is lossless.
+    """
+    return _exact_opt(points, r_cov, m, "square", MAX_SQUARE_POINTS, MAX_SQUARE_SHAPES, _square_candidates)
+
+
+def exact_disk_opt(points: Iterable[Point], r_cov: float, m: int) -> OracleResult:
+    """Best total weight coverable by m disks of radius r_cov.
+
+    Candidate centers: every point, plus the two circles of radius r_cov
+    through each point pair closer than 2 * r_cov (the classical lossless
+    candidate set for equal disks).
+    """
+    return _exact_opt(points, r_cov, m, "disk", MAX_DISK_POINTS, MAX_DISK_SHAPES, _disk_candidates)
 
 
 def exact_mwpihp(instance: IntervalInstance) -> float:
     """Best pierceable weight by brute force over left-endpoint subsets."""
     n, m = len(instance), instance.m
-    if n > MAX_PIERCE_ITEMS or m > MAX_PIERCE_BUDGET:
-        raise OracleSizeError(
-            f"piercing oracle is guarded to n <= {MAX_PIERCE_ITEMS}, m <= {MAX_PIERCE_BUDGET}; got n={n}, m={m}"
-        )
+    _guard("piercing", n, m, MAX_PIERCE_ITEMS, MAX_PIERCE_BUDGET)
     if n == 0 or m == 0:
         return 0.0
     length = instance.length

@@ -101,11 +101,3 @@ def static_place_4m(store: PointStore, config: GridConfig) -> Placement:
         raise ValueError("the 4m-budget guarantee is stated for squares only")
     return static_place(store, replace(config, m=4 * config.m))
 
-
-def ratio_certificate(placement: Placement) -> tuple[float, float]:
-    """(covered weight, guarantee factor) for a static placement.
-
-    The covered weight is guaranteed to be at least factor * OPT, where
-    OPT is the best achievable weight with m freely-placed shapes.
-    """
-    return placement.covered_weight, GUARANTEE[placement.config.shape]

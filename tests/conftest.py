@@ -1,10 +1,12 @@
 """Shared instance builders for the test suite.
 
-Everything is driven by seeded random.Random instances so failures
-reproduce exactly.
+Everything is driven by explicit seeds (random.Random instances, or a
+seed for numpy's generator) so failures reproduce exactly.
 """
 
 import random
+
+import numpy as np
 
 from swarmcover import Event, Point, PointStore
 
@@ -84,3 +86,36 @@ def random_trace(rng: random.Random, n_start, count, extent, max_points=None):
         else:
             events.append(Event.update(live[rng.randrange(len(live))], rng.uniform(0.0, 10.0)))
     return points, events
+
+
+def random_points(n, seed, extent):
+    """n uniform points on [0, extent)^2 with ids 0..n-1 and weights uniform in [0, 10)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, extent, n)
+    ys = rng.uniform(0.0, extent, n)
+    ws = rng.uniform(0.0, 10.0, n)
+    return [Point(i, float(xs[i]), float(ys[i]), float(ws[i])) for i in range(n)]
+
+
+def random_events(n_points, count, seed, extent):
+    """A mixed insert/delete/update stream valid against a store holding
+    ids 0..n_points-1; the live population stays roughly stable."""
+    rng = random.Random(seed)
+    live = list(range(n_points))
+    next_id = n_points
+    events = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.3 or not live:
+            events.append(Event.insert(
+                next_id, rng.uniform(0.0, extent), rng.uniform(0.0, extent), rng.uniform(0.0, 10.0)
+            ))
+            live.append(next_id)
+            next_id += 1
+        elif roll < 0.6:
+            i = rng.randrange(len(live))
+            live[i], live[-1] = live[-1], live[i]
+            events.append(Event.delete(live.pop()))
+        else:
+            events.append(Event.update(live[rng.randrange(len(live))], rng.uniform(0.0, 10.0)))
+    return events

@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
-from swarmcover import random_events, random_points
+import pytest
+
+from conftest import random_events, random_points
+from swarmcover import format_points, format_trace
 from swarmcover.cli import main
 
 THREE_CELLS = "1 0.5 0.5 3.0\n2 2.5 0.5 5.0\n3 4.5 0.5 1.0\n"
@@ -113,17 +116,9 @@ def test_replay_verify_long_random_trace(tmp_path, capsys):
     points = random_points(40, seed=3, extent=6.0)
     events = random_events(40, 1000, seed=4, extent=6.0)
     pts = tmp_path / "pts.txt"
-    pts.write_text("".join(f"{p.id} {p.x!r} {p.y!r} {p.w!r}\n" for p in points))
+    pts.write_text(format_points(points))
     trace = tmp_path / "trace.txt"
-    lines = []
-    for e in events:
-        if e.kind == "insert":
-            lines.append(f"I {e.id} {e.x!r} {e.y!r} {e.w!r}\n")
-        elif e.kind == "delete":
-            lines.append(f"D {e.id}\n")
-        else:
-            lines.append(f"U {e.id} {e.w!r}\n")
-    trace.write_text("".join(lines))
+    trace.write_text(format_trace(events))
     code, out, err = run_cli(
         capsys, "replay", str(pts), str(trace), "--r-cov", "0.5", "--m", "4", "--verify"
     )
@@ -198,24 +193,11 @@ def test_bound_window_weights_past_float_range(tmp_path, capsys):
     assert out.strip().splitlines() == ["bound_x inf", "bound_y 1e+308", "bound 1e+308"]
 
 
-def test_bench_rows_and_zero_events(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "100,1000", "--events", "50", "--seed", "1")
-    assert code == 0
-    rows = out.strip().splitlines()
-    assert rows[0].startswith("n events")
-    assert len(rows) == 3
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "100", "--events", "0", "--seed", "1")
-    assert code == 0
-    assert out.strip().splitlines()[1].startswith("100 0 ")
-
-
-def test_bench_generation_is_seed_deterministic():
-    a = random_points(500, seed=9, extent=5.0)
-    b = random_points(500, seed=9, extent=5.0)
-    assert [(p.id, p.x, p.y, p.w) for p in a] == [(p.id, p.x, p.y, p.w) for p in b]
-    ea = random_events(500, 200, seed=9, extent=5.0)
-    eb = random_events(500, 200, seed=9, extent=5.0)
-    assert ea == eb
+def test_bench_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_stdin_input(capsys, monkeypatch):

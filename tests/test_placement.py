@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_store, random_square_case, straddle_points
 from swarmcover import (
+    GUARANTEE,
     DiskGeometry,
     GridConfig,
     Point,
@@ -13,7 +14,6 @@ from swarmcover import (
     SquareGeometry,
     cell_key,
     exact_square_opt,
-    ratio_certificate,
     static_place,
     static_place_4m,
 )
@@ -151,14 +151,13 @@ def test_straddle_witness_ratio_is_exactly_quarter():
 
 def test_ratio_certificate_factors():
     store, cfg = three_cell_store()
-    lower, factor = ratio_certificate(static_place(store, cfg))
-    assert lower == 8.0
-    assert factor == 0.25
+    placement = static_place(store, cfg)
+    assert placement.covered_weight == 8.0
+    assert GUARANTEE[placement.config.shape] == 0.25
     disk_cfg = GridConfig(1.0, "disk", 1)
     disk_store = PointStore(disk_cfg.cell_size)
     disk_store.insert(Point(1, 0.1, 0.1, 2.0))
-    _, disk_factor = ratio_certificate(static_place(disk_store, disk_cfg))
-    assert disk_factor == 1.0 / 7.0
+    assert GUARANTEE[static_place(disk_store, disk_cfg).config.shape] == 1.0 / 7.0
 
 
 def test_static_place_4m_dominates_opt():
