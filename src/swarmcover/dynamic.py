@@ -1,17 +1,17 @@
 """Drone coverage maintained online: at most one relocation per event.
 
 Every nonempty grid cell sits in exactly one of two pools: covered (a
-drone is assigned to it) or uncovered. After each point insert, delete or
-weight update the structure restores the property that the covered pool
-holds the heaviest min(m, #cells) cells, moving at most one drone:
+drone is assigned to it) or uncovered, and between events no uncovered
+cell outweighs a covered one. An event changes one cell, so only that
+cell can break this order, and only against the other pool's extremum.
+A covered cell that gains weight, or an uncovered one that loses weight or
+empties, moves nothing and reads neither extremum. Otherwise at most one
+drone moves:
 
-* an uncovered cell that now outweighs the lightest covered cell steals
-  its drone (or grabs a parked one when a brand-new cell appears while
-  drones are idle);
-* a covered cell whose weight drops below the heaviest uncovered cell
-  hands its drone over;
-* a covered cell whose last point is deleted releases its drone to the
-  heaviest uncovered cell, or parks it.
+* a covered cell that drops below the heaviest uncovered cell hands its
+  drone over; emptied, it releases its drone to that cell, or parks it;
+* an uncovered cell that rises above the lightest covered cell takes its
+  drone, or a parked one (then every cell was covered and this one is new).
 
 Moves compare weights strictly, so ties never oscillate. Pool extrema are
 served by lazily-pruned heaps keyed by (weight, cell key): stale entries
@@ -46,6 +46,20 @@ _FIXED_ONE = 1 << 1074
 def _fixed(w: float) -> int:
     n, d = w.as_integer_ratio()
     return n << (1075 - d.bit_length())
+
+
+def _min_heap(pairs: Iterable[tuple[int, float]]) -> list[tuple[float, int]]:
+    """Covered-pool heap over (key, weight) pairs: lightest, then smallest key, on top."""
+    heap = [(w, key) for key, w in pairs]
+    heapq.heapify(heap)
+    return heap
+
+
+def _max_heap(pairs: Iterable[tuple[int, float]]) -> list[tuple[float, int]]:
+    """Uncovered-pool heap over (key, weight) pairs: heaviest, then largest key, on top."""
+    heap = [(-w, -key) for key, w in pairs]
+    heapq.heapify(heap)
+    return heap
 
 
 @dataclass(frozen=True)
@@ -95,10 +109,8 @@ class CoverageState:
         self._covered_fixed = sum(_fixed(w) for _, w in ranked[:k])
         self._covered: float | None = None
         self._parked: list[int] = list(range(k, config.m))  # ascending == valid heap
-        self._heap_min: list[tuple[float, int]] = [(w, key) for key, w in ranked[:k]]
-        heapq.heapify(self._heap_min)
-        self._heap_max: list[tuple[float, int]] = [(-w, -key) for key, w in ranked[k:]]
-        heapq.heapify(self._heap_max)
+        self._heap_min = _min_heap(ranked[:k])
+        self._heap_max = _max_heap(ranked[k:])
 
     # -- pool extrema ---------------------------------------------------
 
@@ -167,51 +179,46 @@ class CoverageState:
             raise ValueError(f"unknown event kind {kind!r}")
         evicted = key not in store.cells
 
-        # a move takes a free drone and lands it on the heaviest uncovered
-        # cell (or parks it when there is none); the drone is freed by an
-        # evicted covered cell, taken from the parked ones, or taken from
-        # the lightest covered cell under the strict move rule
+        # only the event's cell can break the pool order (module docstring)
         assignment = self.assignment
-        vacated = drone = w_low = None
+        vacated = drone = w_out = None
         if key in assignment:
-            if evicted:
+            if evicted or (new_w < old_w and (top := self.max_uncovered()) is not None and top[1] > new_w):
                 vacated, drone = key, assignment.pop(key)
                 self._shift_covered(-_fixed(old_w))
+                w_out = None if evicted else new_w
             else:
                 self._shift_covered(_fixed(new_w) - _fixed(old_w))
                 heapq.heappush(self._heap_min, (new_w, key))
         elif not evicted:
             heapq.heappush(self._heap_max, (-new_w, -key))
-
-        top = self.max_uncovered()
-        if drone is None:
-            if self._parked:
-                if top is not None:
+            # >=, not >: a new cell reports old_w 0.0, and at weight 0.0 it still
+            # takes a parked drone, or the drone of a cell drifted below zero
+            if new_w >= old_w:
+                if self._parked:  # every cell was covered, so this one is new
                     drone = heapq.heappop(self._parked)
-            else:
-                low = self.min_covered()
-                if low is not None and top is not None and top[1] > low[1]:  # strict move rule
+                elif (low := self.min_covered()) is not None and new_w > low[1]:  # strict move rule
                     heapq.heappop(self._heap_min)
-                    vacated, w_low = low
+                    vacated, w_out = low
                     drone = assignment.pop(vacated)
-                    self._shift_covered(-_fixed(w_low))
+                    self._shift_covered(-_fixed(w_out))
         occupied = None
         if drone is not None:
-            if top is None:
-                heapq.heappush(self._parked, drone)
-            else:
-                occupied = self._cover(drone)
-            if w_low is not None:
+            occupied = self._cover(drone)
+            if w_out is not None:
                 # pushed after _cover's pop: the heap layout decides which of
                 # two equal entries (weights 0.0 and -0.0) surfaces first
-                heapq.heappush(self._heap_max, (-w_low, -vacated))
+                heapq.heappush(self._heap_max, (-w_out, -vacated))
 
         self._maybe_compact()
         return SwapReport(drone is not None, vacated, occupied, drone, self.covered_weight())
 
-    def _cover(self, drone: int) -> int:
-        """Land ``drone`` on the heaviest uncovered cell, whose heap entry
-        max_uncovered() has just found valid; returns the cell key."""
+    def _cover(self, drone: int) -> int | None:
+        """Land ``drone`` on the heaviest uncovered cell and return its key,
+        or park the drone when no cell is uncovered."""
+        if self.max_uncovered() is None:
+            heapq.heappush(self._parked, drone)
+            return None
         nw, nk = heapq.heappop(self._heap_max)
         key = -nk
         self.assignment[key] = drone
@@ -225,19 +232,12 @@ class CoverageState:
         self._covered = None
 
     def _maybe_compact(self) -> None:
-        covered = len(self.assignment)
-        if len(self._heap_min) > _COMPACT_FACTOR * covered + _COMPACT_SLACK:
-            self._heap_min = [(self.store.cells[key].weight, key) for key in self.assignment]
-            heapq.heapify(self._heap_min)
-        uncovered = len(self.store.cells) - covered
-        if len(self._heap_max) > _COMPACT_FACTOR * uncovered + _COMPACT_SLACK:
-            assignment = self.assignment
-            self._heap_max = [
-                (-agg.weight, -key)
-                for key, agg in self.store.cells.items()
-                if key not in assignment
-            ]
-            heapq.heapify(self._heap_max)
+        cells = self.store.cells
+        assignment = self.assignment
+        if len(self._heap_min) > _COMPACT_FACTOR * len(assignment) + _COMPACT_SLACK:
+            self._heap_min = _min_heap((key, cells[key].weight) for key in assignment)
+        if len(self._heap_max) > _COMPACT_FACTOR * (len(cells) - len(assignment)) + _COMPACT_SLACK:
+            self._heap_max = _max_heap((key, agg.weight) for key, agg in cells.items() if key not in assignment)
 
 
 def build(points: Iterable[Point], config: GridConfig) -> CoverageState:

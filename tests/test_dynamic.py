@@ -195,16 +195,31 @@ def test_dynamic_matches_static_bit_exact_on_random_traces():
             assert report.moved == bool(moved_drones)
 
 
+def _reweighted(rng, points, events, weights):
+    """The same trace with every weight drawn from ``weights``."""
+    points = [Point(p.id, p.x, p.y, rng.choice(weights)) for p in points]
+    events = [e if e.w is None else dataclasses.replace(e, w=rng.choice(weights)) for e in events]
+    return points, events
+
+
 def test_pool_weights_match_store_aggregates_exactly():
     rng = random.Random(53)
     cfg = GridConfig(0.5, "square", 4)
     points, events = random_trace(rng, 30, 500, extent=5.0)
     # the same trace with weights whose float sums lose the smaller terms:
     # a running float total of the covered weight drifts on it
-    magnitudes = (1e300, 1e16, 1.0, 5e-324, 0.0)
-    mixed_points = [Point(p.id, p.x, p.y, rng.choice(magnitudes)) for p in points]
-    mixed_events = [e if e.w is None else dataclasses.replace(e, w=rng.choice(magnitudes)) for e in events]
-    for points, events in ((points, events), (mixed_points, mixed_events)):
+    cases = [(cfg, points, events), (cfg, *_reweighted(rng, points, events, (1e300, 1e16, 1.0, 5e-324, 0.0)))]
+    # the cell weight drifts to -1.0 while its one point weighs 1.0; the new
+    # 0.0 cell must then take its drone
+    drift = [Point(1, 0.5, 0.5, 1e16), Point(2, 0.5, 0.5, 1.0), Point(3, 0.5, 0.5, 1.0)]
+    cases.append(
+        (GridConfig(0.5, "square", 1), drift, [Event.delete(1), Event.delete(2), Event.insert(4, 5.5, 5.5, 0.0)])
+    )
+    for i in range(200):
+        cfg = GridConfig(0.5, ("square", "disk")[i % 2], (1, 2, 3, 5, 40)[i // 2 % 5])
+        points, events = random_trace(rng, rng.randint(1, 20), 300, extent=3.0)
+        cases.append((cfg, *_reweighted(rng, points, events, (1e16, 1.0, 5e-324, 0.0, -0.0))))
+    for cfg, points, events in cases:
         state = build(points, cfg)
         for e in events:
             state.apply(e)
@@ -215,8 +230,41 @@ def test_pool_weights_match_store_aggregates_exactly():
             mu = state.max_uncovered()
             if mu is not None:
                 assert cells[mu[0]].weight == mu[1]
+            if mc is not None and mu is not None:
+                assert mc[1] >= mu[1]
             assert len(state.assignment) == min(cfg.m, len(cells))
             assert state.covered_weight() == math.fsum(cells[key].weight for key in state.assignment)
+            assert state.covered_weight() == static_place(state.store, cfg).covered_weight
+
+
+def test_repair_reads_only_the_extremum_the_event_can_cross(monkeypatch):
+    # covered {A:10, B:8}, uncovered {C:7, D:3}; no event below moves a drone
+    cfg = GridConfig(0.5, "square", 2)
+    state = build(
+        [Point("a", 0.5, 0.5, 10.0), Point("b", 2.5, 0.5, 8.0), Point("c", 4.5, 0.5, 7.0), Point("d", 6.5, 0.5, 3.0)],
+        cfg,
+    )
+    calls = []
+    for name in ("min_covered", "max_uncovered"):
+        def counted(name=name, real=getattr(state, name)):
+            calls.append(name)
+            return real()
+
+        monkeypatch.setattr(state, name, counted)
+
+    def peeks(event):
+        calls.clear()
+        assert not state.apply(event).moved
+        return calls
+
+    assert peeks(Event.update("a", 11.0)) == []  # covered, weight up
+    assert peeks(Event.insert("a2", 0.6, 0.6, 1.0)) == []
+    assert peeks(Event.update("d", 2.0)) == []  # uncovered, weight down
+    assert peeks(Event.delete("d")) == []  # uncovered, evicted
+    assert peeks(Event.update("a", 7.5)) == ["max_uncovered"]  # covered, weight down
+    assert peeks(Event.delete("a2")) == ["max_uncovered"]
+    assert peeks(Event.update("c", 7.5)) == ["min_covered"]  # uncovered, weight up
+    assert peeks(Event.insert("e", 8.5, 0.5, 1.0)) == ["min_covered"]  # uncovered, new
 
 
 def test_state_from_existing_store_requires_matching_cell_size():
