@@ -14,13 +14,14 @@ drone moves:
   drone, or a parked one (then every cell was covered and this one is new).
 
 Moves compare weights strictly, so ties never oscillate. Pool extrema are
-served by lazily-pruned heaps keyed by (weight, cell key): stale entries
-are detected against the live cell table and dropped on sight, and a heap
-is rebuilt whenever stale entries dominate, keeping every event at
-O(log n) amortized. Cell weights live only in the store; the covered
-weight is an exact integer total in units of 2**-1074, shifted by
-new - old per covered-cell change, so it costs O(1) per event. A state is
-single-writer; apply events sequentially.
+served by lazily-pruned heaps keyed by (weight, cell key). Heap entries
+only order cells: one that disagrees with the store is stale and dropped
+on sight, and a reported weight is read from the store, so no output
+depends on heap history. A heap is rebuilt whenever stale entries
+dominate, keeping every event at O(log n) amortized. Cell weights live
+only in the store; the covered weight is an exact integer total in units
+of 2**-1074, shifted by new - old per covered-cell change, so it costs
+O(1) per event. A state is single-writer; apply events sequentially.
 """
 
 import heapq
@@ -122,8 +123,8 @@ class CoverageState:
         assignment = self.assignment
         while heap:
             w, key = heap[0]
-            if key in assignment and cells[key].weight == w:
-                return key, w
+            if key in assignment and (weight := cells[key].weight) == w:
+                return key, weight
             heapq.heappop(heap)
         return None
 
@@ -138,7 +139,7 @@ class CoverageState:
             key = -nk
             agg = cells.get(key)
             if agg is not None and agg.weight == -nw and key not in assignment:
-                return key, -nw
+                return key, agg.weight
             heapq.heappop(heap)
         return None
 
@@ -166,14 +167,10 @@ class CoverageState:
         store = self.store
         kind = event.kind
         if kind == INSERT:
-            if event.x is None or event.y is None or event.w is None:
-                raise ValueError("insert event needs coordinates and a weight")
             key, old_w, new_w = store.insert(Point(event.id, event.x, event.y, event.w))
         elif kind == DELETE:
             key, old_w, new_w = store.delete(event.id)
         elif kind == UPDATE:
-            if event.w is None:
-                raise ValueError("update event needs a weight")
             key, old_w, new_w = store.update_weight(event.id, event.w)
         else:
             raise ValueError(f"unknown event kind {kind!r}")
@@ -181,12 +178,13 @@ class CoverageState:
 
         # only the event's cell can break the pool order (module docstring)
         assignment = self.assignment
-        vacated = drone = w_out = None
+        vacated = drone = None
         if key in assignment:
             if evicted or (new_w < old_w and (top := self.max_uncovered()) is not None and top[1] > new_w):
                 vacated, drone = key, assignment.pop(key)
                 self._shift_covered(-_fixed(old_w))
-                w_out = None if evicted else new_w
+                if not evicted:
+                    heapq.heappush(self._heap_max, (-new_w, -key))
             else:
                 self._shift_covered(_fixed(new_w) - _fixed(old_w))
                 heapq.heappush(self._heap_min, (new_w, key))
@@ -202,13 +200,8 @@ class CoverageState:
                     vacated, w_out = low
                     drone = assignment.pop(vacated)
                     self._shift_covered(-_fixed(w_out))
-        occupied = None
-        if drone is not None:
-            occupied = self._cover(drone)
-            if w_out is not None:
-                # pushed after _cover's pop: the heap layout decides which of
-                # two equal entries (weights 0.0 and -0.0) surfaces first
-                heapq.heappush(self._heap_max, (-w_out, -vacated))
+                    heapq.heappush(self._heap_max, (-w_out, -vacated))
+        occupied = None if drone is None else self._cover(drone)
 
         self._maybe_compact()
         return SwapReport(drone is not None, vacated, occupied, drone, self.covered_weight())
@@ -216,14 +209,14 @@ class CoverageState:
     def _cover(self, drone: int) -> int | None:
         """Land ``drone`` on the heaviest uncovered cell and return its key,
         or park the drone when no cell is uncovered."""
-        if self.max_uncovered() is None:
+        if (top := self.max_uncovered()) is None:
             heapq.heappush(self._parked, drone)
             return None
-        nw, nk = heapq.heappop(self._heap_max)
-        key = -nk
+        heapq.heappop(self._heap_max)
+        key, w = top
         self.assignment[key] = drone
-        self._shift_covered(_fixed(-nw))
-        heapq.heappush(self._heap_min, (-nw, key))
+        self._shift_covered(_fixed(w))
+        heapq.heappush(self._heap_min, (w, key))
         return key
 
     def _shift_covered(self, delta: int) -> None:

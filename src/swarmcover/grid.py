@@ -44,8 +44,7 @@ class GridConfig:
         check_size(self.r_cov, "r_cov")
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        check_count(self.m, "m", 1)
 
     @property
     def cell_size(self) -> float:
@@ -61,6 +60,12 @@ def check_size(value, name: str) -> None:
         isinstance(value, (int, float)) and math.isfinite(value) and value > 0
     ):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Reject a count that is not an int >= minimum (bools are not counts)."""
+    if type(value) is bool or not (isinstance(value, int) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def cell_index(x: float, y: float, r: float) -> CellIndex:

@@ -16,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from .grid import GridConfig, check_size
+from .grid import GridConfig, check_count, check_size
 from .store import PointStore
 
 
@@ -66,8 +66,7 @@ class IntervalInstance:
     """
 
     def __init__(self, items, length: float, m: int):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise ValueError(f"budget must be a non-negative integer, got {m!r}")
+        check_count(m, "budget", 0)
         pairs = np.array([(l, w) for l, w in items], dtype=float).reshape(-1, 2)
         lefts, weights, self._starts, self._windows = _neighborhoods(pairs[:, 0], pairs[:, 1], length)
         self.length = float(length)

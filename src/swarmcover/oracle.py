@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .grid import Point, check_size
+from .grid import Point, check_count, check_size
 from .intervals import IntervalInstance
 
 MAX_SQUARE_POINTS, MAX_SQUARE_SHAPES = 12, 3
@@ -31,7 +31,6 @@ class OracleSizeError(ValueError):
 class OracleResult:
     opt_weight: float
     witness: tuple  # chosen square min-corners or disk centers
-    instance_size: tuple[int, int]
 
 
 def _mask_weights(weights: Sequence[float]) -> list[float]:
@@ -78,17 +77,16 @@ def _exact_opt(points, r_cov, m, kind, max_n, max_m, candidates) -> OracleResult
     """
     pts = list(points)
     n = len(pts)
+    check_count(m, "m", 0)
     _guard(kind, n, m, max_n, max_m)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m!r}")
     check_size(r_cov, "r_cov")
     if n == 0 or m == 0:
-        return OracleResult(0.0, (), (n, m))
+        return OracleResult(0.0, ())
     cand = candidates(pts, r_cov)
     maximal = _maximal_masks(cand)
     wsum = _mask_weights([p.w for p in pts])
     best_w, best_combo = _best_union(maximal, min(m, len(maximal)), wsum)
-    return OracleResult(best_w, tuple(cand[msk] for msk in best_combo), (n, m))
+    return OracleResult(best_w, tuple(cand[msk] for msk in best_combo))
 
 
 def _square_candidates(pts: list[Point], r_cov: float) -> dict[int, tuple[float, float]]:

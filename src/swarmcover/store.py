@@ -46,14 +46,14 @@ class PointStore:
         return len(self.points)
 
     def _locate(self, x: float, y: float) -> tuple[int, int, int]:
-        # grid.cell_index without its argument checks, which insert has
-        # already made for the hot path
+        # grid.cell_index with its argument checks folded into one except:
+        # a nan, inf, None, str or huge int coordinate has no cell index
         r = self.cell_size
         try:
             a = math.floor(x / r)
             b = math.floor(y / r)
-        except OverflowError:
-            raise ValueError(f"cell index of ({x!r}, {y!r}) at cell size {r!r} is not finite") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"coordinates ({x!r}, {y!r}) have no cell at cell size {r!r}") from None
         return a, b, cell_key(a, b)
 
     def insert(self, p: Point) -> tuple[int, float, float]:
@@ -61,8 +61,6 @@ class PointStore:
         the old weight 0.0 for a new cell."""
         if p.id in self.points:
             raise DuplicateIdError(f"point id {p.id!r} already present")
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ValueError(f"coordinates must be finite, got ({p.x!r}, {p.y!r})")
         w = p.w
         # a chained compare, not math.isfinite, which raises OverflowError
         # for an int past the float range

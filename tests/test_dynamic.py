@@ -129,6 +129,8 @@ def test_apply_preconditions_leave_state_untouched():
     with pytest.raises(ValueError):
         state.apply(Event.update("a", -3.0))
     with pytest.raises(ValueError):
+        state.apply(Event.update("a", None))
+    with pytest.raises(ValueError):
         state.apply(Event("noop", "a"))
     assert state.assignment == before
     assert state.covered_weight() == 10.0

@@ -55,8 +55,11 @@ def test_parse_trace_errors():
     assert err.value.lineno == 1
     with pytest.raises(ParseError):
         parse_trace("X 1\n")
-    with pytest.raises(ParseError):
-        parse_trace("U 1 notanumber\n")
+    for text in ("U 1 notanumber\n", "D 1 extra\n", "U 1\n"):
+        with pytest.raises(ParseError):
+            parse_trace(text)
+    with pytest.raises(ValueError, match="unknown event kind"):
+        format_trace([Event("noop", 1)])
 
 
 def test_string_ids_survive():

@@ -1,20 +1,28 @@
 """Golden replay: the drone moves of CoverageState, pinned bit for bit.
 
-GOLDEN_DIGEST was recorded by running this file's ``replay_digest()`` on
-the commit before the move path was folded into one helper (the commit
-that still had ``_relocate_from`` and separate parked and swap branches
-in ``dynamic.py``). Any change to which drone moves where, to tie
-breaking, to parking order, to a covered weight's last bit or to the sign
-of a zero weight reported by min_covered()/max_uncovered() changes the
-digest.
+GOLDEN_DIGEST was first recorded on the commit before the move path was
+folded into one helper (the commit that still had ``_relocate_from`` and
+separate parked and swap branches in ``dynamic.py``). It was re-recorded
+once, when min_covered()/max_uncovered() began to report the store's cell
+weight instead of the heap entry's copy of it. The two are equal under
+``==`` but can differ in the sign of a zero, so the old digest depended on
+which stale entry was on top, and with it on the compaction policy. No
+drone move changed: the new value is what the old code gives with its
+heaps rebuilt from the store whenever they hold a stale entry.
+
+Any change to which drone moves where, to tie breaking, to parking order,
+to a covered weight's last bit or to the sign of a zero weight reported by
+min_covered()/max_uncovered() changes the digest. A change to the heap
+layout alone must not (``test_digest_does_not_depend_on_compaction``).
 """
 
 import hashlib
 import random
 
+import swarmcover.dynamic
 from swarmcover import Event, GridConfig, Point, build
 
-GOLDEN_DIGEST = "d02344486d4ae24e1a5af9fa4ee2f00f4725c8b8e02b67b9b7306cb85cd2e831"
+GOLDEN_DIGEST = "f55c35710bbd06da22c474b2b41e258542365a0546340532d3bc392f7e317eca"
 
 # m = 40 exceeds the cell count of the 4 x 4 extent for both shapes
 # (at most 16 square cells and 36 disk cells of size sqrt(2) * 0.5)
@@ -76,4 +84,11 @@ def replay_digest() -> str:
 
 
 def test_replay_matches_golden_digest():
+    assert replay_digest() == GOLDEN_DIGEST
+
+
+def test_digest_does_not_depend_on_compaction(monkeypatch):
+    # rebuild a heap as soon as it holds one stale entry
+    monkeypatch.setattr(swarmcover.dynamic, "_COMPACT_FACTOR", 1)
+    monkeypatch.setattr(swarmcover.dynamic, "_COMPACT_SLACK", 0)
     assert replay_digest() == GOLDEN_DIGEST

@@ -157,6 +157,14 @@ def test_oracles_reject_bad_r_cov():
                 oracle(pts, r_cov, 1)
 
 
+def test_oracles_reject_bad_drone_count():
+    pts = [Point(1, 0.0, 0.0, 1.0)]
+    for m in (1.5, True, "2", None, -1):
+        for oracle in (exact_square_opt, exact_disk_opt):
+            with pytest.raises(ValueError, match="m must be"):
+                oracle(pts, 0.5, m)
+
+
 def test_disk_dominates_heuristic():
     rng = random.Random(97)
     for _ in range(60):

@@ -40,6 +40,9 @@ def test_insert_duplicate_and_invalid():
         store.insert(Point(4, 0.0, 0.0, True))
     with pytest.raises(ValueError):
         store.insert(Point(5, 0.0, 0.0, 10**400))  # an int past the float range
+    for x in (None, "1.0", 10**400):
+        with pytest.raises(ValueError):
+            store.insert(Point(6, x, 0.0, 1.0))
     after = (dict(store.points), {key: (agg.weight, agg.count) for key, agg in store.cells.items()})
     assert after == before
 
