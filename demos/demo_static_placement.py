@@ -8,7 +8,7 @@ bound tells us how far from optimal we could possibly be.
 
 import numpy as np
 
-from swarmcover import GUARANTEE, GridConfig, Point, PointStore, static_place, upper_bound_2d
+from swarmcover import GUARANTEE, GridConfig, Point, PointStore, cell_geometry, static_place, upper_bound_2d
 
 rng = np.random.default_rng(42)
 
@@ -42,12 +42,12 @@ factor = GUARANTEE[config.shape]
 bound_x, bound_y, bound = upper_bound_2d(store, config)
 
 print(f"\ncell size {config.cell_size:.1f}, {config.m} drones")
-for site in placement.drones:
-    if site.cell is None:
-        print(f"  drone {site.drone}: parked")
+for drone, key in enumerate(placement.cells):
+    if key is None:
+        print(f"  drone {drone}: parked")
     else:
-        g = site.geometry
-        print(f"  drone {site.drone}: square at ({g.min_x:.1f}, {g.min_y:.1f}), side {g.side:.1f}")
+        g = cell_geometry(key, config)
+        print(f"  drone {drone}: square at ({g.min_x:.1f}, {g.min_y:.1f}), side {g.side:.1f}")
 
 print(f"\ncovered weight        {placement.covered_weight:8.1f}")
 print(f"projection bound      {bound:8.1f}   (x-axis {bound_x:.1f}, y-axis {bound_y:.1f})")

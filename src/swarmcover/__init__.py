@@ -29,6 +29,7 @@ from .placement import (
     GUARANTEE,
     DiskGeometry,
     SquareGeometry,
+    cell_geometry,
     rank_cells,
     static_place,
     static_place_4m,
@@ -57,6 +58,7 @@ __all__ = [
     "cantor_pair",
     "cantor_unpair",
     "cell_center",
+    "cell_geometry",
     "cell_index",
     "cell_key",
     "cell_key_to_index",

@@ -8,11 +8,11 @@ import argparse
 import sys
 
 from .dynamic import build
-from .formats import ParseError, parse_points, parse_trace
+from .formats import parse_points, parse_trace
 from .grid import DISK, SQUARE, GridConfig
 from .intervals import upper_bound_2d
-from .oracle import OracleSizeError, exact_disk_opt, exact_square_opt
-from .placement import DiskGeometry, GUARANTEE, SquareGeometry, static_place
+from .oracle import exact_disk_opt, exact_square_opt
+from .placement import GUARANTEE, SquareGeometry, cell_geometry, static_place
 from .store import DuplicateIdError, PointStore, UnknownIdError
 
 
@@ -38,18 +38,17 @@ def _load_store(path: str, config: GridConfig) -> PointStore:
     return store
 
 
-def _geometry_line(site) -> str:
-    if site.cell is None:
-        return f"drone {site.drone} parked"
-    g = site.geometry
+def _geometry_line(drone: int, key: int | None, config: GridConfig) -> str:
+    if key is None:
+        return f"drone {drone} parked"
+    g = cell_geometry(key, config)
     if isinstance(g, SquareGeometry):
         return (
-            f"drone {site.drone} cell {site.cell} square"
+            f"drone {drone} cell {key} square"
             f" min_x={_fmt(g.min_x)} min_y={_fmt(g.min_y)} side={_fmt(g.side)}"
         )
-    assert isinstance(g, DiskGeometry)
     return (
-        f"drone {site.drone} cell {site.cell} disk"
+        f"drone {drone} cell {key} disk"
         f" center_x={_fmt(g.center_x)} center_y={_fmt(g.center_y)} radius={_fmt(g.radius)}"
     )
 
@@ -61,8 +60,8 @@ def cmd_place(args) -> int:
     bound_x, bound_y, bound = upper_bound_2d(store, config)
     print(f"shape {config.shape} r_cov {_fmt(config.r_cov)} cell_size {_fmt(config.cell_size)} m {config.m}")
     print(f"covered_weight {_fmt(placement.covered_weight)}")
-    for site in placement.drones:
-        print(_geometry_line(site))
+    for drone, key in enumerate(placement.cells):
+        print(_geometry_line(drone, key, config))
     print(f"bound_x {_fmt(bound_x)} bound_y {_fmt(bound_y)} bound {_fmt(bound)}")
     print(f"guarantee {_fmt(GUARANTEE[config.shape])}")
     return 0
@@ -164,7 +163,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OracleSizeError, DuplicateIdError, UnknownIdError, ValueError, OverflowError, OSError) as exc:
+    except (DuplicateIdError, UnknownIdError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .grid import GridConfig, Point
-from .placement import Placement, check_same_grid, placement_of, rank_cells
+from .placement import Placement, check_same_grid, rank_cells
 from .store import PointStore
 
 INSERT = "insert"
@@ -153,10 +153,10 @@ class CoverageState:
         return self._covered
 
     def placements(self) -> Placement:
-        """Current drone geometry, one entry per drone, parked ones bare."""
+        """Current placement: each drone's cell key, None for a parked drone."""
         by_drone = {drone: key for key, drone in self.assignment.items()}
-        keys = [by_drone.get(i) for i in range(self.config.m)]
-        return placement_of(keys, self.covered_weight(), self.store, self.config)
+        cells = tuple(by_drone.get(i) for i in range(self.config.m))
+        return Placement(cells, self.covered_weight(), self.config)
 
     # -- mutation ---------------------------------------------------------
 

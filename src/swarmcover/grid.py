@@ -73,15 +73,13 @@ def cell_index(x: float, y: float, r: float) -> CellIndex:
 
     Floor semantics toward -inf: a point exactly on a grid line belongs to
     the cell with the larger index. A coordinate so far out that x / r
-    overflows has no cell and is rejected.
+    overflows has no cell and is rejected, as is a nan, inf, None or str one.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
     check_size(r, "cell size")
     try:
         return math.floor(x / r), math.floor(y / r)
-    except OverflowError:
-        raise ValueError(f"cell index of ({x!r}, {y!r}) at cell size {r!r} is not finite") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"coordinates ({x!r}, {y!r}) have no cell at cell size {r!r}") from None
 
 
 def fold_signed(z: int) -> int:
@@ -135,8 +133,6 @@ def cell_key_to_index(key: int) -> CellIndex:
 
 def cell_center(index: CellIndex, r: float) -> tuple[float, float]:
     """Midpoint of the cell at ``index`` for cell size r."""
-    # check_size written out: disk placement calls this once per drone
-    if type(r) is bool or not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValueError(f"cell size must be positive and finite, got {r!r}")
+    check_size(r, "cell size")
     a, b = index
     return (a + 0.5) * r, (b + 0.5) * r

@@ -1,13 +1,15 @@
 """Static placement: assign drones to the heaviest grid cells.
 
-Pure functions of the store contents; safe to call concurrently on a
-store that is not being mutated.
+A placement is one cell key per drone (None for a parked drone) plus the
+covered weight; :func:`cell_geometry` derives a drone's shape from its key
+alone. Pure functions of the store contents; safe to call concurrently on
+a store that is not being mutated.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .grid import DISK, SQUARE, CellIndex, GridConfig, cell_center
+from .grid import DISK, SQUARE, GridConfig, cell_center, cell_key_to_index
 from .store import PointStore
 
 # Worst-case fraction of the optimum the heaviest-cells pick always keeps:
@@ -31,23 +33,17 @@ class DiskGeometry:
 
 
 @dataclass(frozen=True)
-class DroneSite:
-    drone: int
-    cell: int | None  # cell key; None when parked
-    geometry: SquareGeometry | DiskGeometry | None
-
-
-@dataclass(frozen=True)
 class Placement:
-    drones: tuple[DroneSite, ...]
+    cells: tuple[int | None, ...]  # drone i covers cell key cells[i]; None when parked
     covered_weight: float
     config: GridConfig
 
 
-def cell_geometry(index: CellIndex, config: GridConfig) -> SquareGeometry | DiskGeometry:
-    """Shape a drone materializes on a cell: the cell itself for squares,
-    the circumscribing disk for disks."""
+def cell_geometry(key: int, config: GridConfig) -> SquareGeometry | DiskGeometry:
+    """Shape a drone materializes on the cell with key ``key``: the cell
+    itself for squares, the circumscribing disk for disks."""
     r = config.cell_size
+    index = cell_key_to_index(key)
     if config.shape == SQUARE:
         a, b = index
         return SquareGeometry(a * r, b * r, r)
@@ -71,27 +67,17 @@ def check_same_grid(store: PointStore, config: GridConfig) -> None:
         )
 
 
-def placement_of(keys: list[int | None], covered_weight: float, store: PointStore, config: GridConfig) -> Placement:
-    """One site per drone: drone i on cell ``keys[i]``, parked where that is None."""
-    cells = store.cells
-    drones = [
-        DroneSite(i, key, None if key is None else cell_geometry(cells[key].index, config))
-        for i, key in enumerate(keys)
-    ]
-    return Placement(tuple(drones), covered_weight, config)
-
-
 def static_place(store: PointStore, config: GridConfig) -> Placement:
     """Put one drone on each of the min(m, #cells) heaviest cells.
 
-    Ties break toward the smaller cell key; surplus drones are parked with
-    no geometry. The covered weight is the fsum of the chosen aggregates.
+    Ties break toward the smaller cell key; the surplus drones, the last
+    ones, are parked. The covered weight is the fsum of the chosen aggregates.
     """
     check_same_grid(store, config)
     chosen = rank_cells(store)[: config.m]
     covered = math.fsum(w for _, w in chosen)
-    keys = [key for key, _ in chosen] + [None] * (config.m - len(chosen))
-    return placement_of(keys, covered, store, config)
+    cells = tuple(key for key, _ in chosen) + (None,) * (config.m - len(chosen))
+    return Placement(cells, covered, config)
 
 
 def static_place_4m(store: PointStore, config: GridConfig) -> Placement:

@@ -9,7 +9,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .grid import CellIndex, Point, cell_key, check_size
+from .grid import Point, cell_key, check_size
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -26,7 +26,6 @@ class UnknownIdError(KeyError):
 class CellAggregate:
     weight: float  # running sum of member point weights
     count: int  # member points; always >= 1 while the cell is stored
-    index: CellIndex
 
 
 class PointStore:
@@ -45,8 +44,8 @@ class PointStore:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _locate(self, x: float, y: float) -> tuple[int, int, int]:
-        # grid.cell_index with its argument checks folded into one except:
+    def _locate(self, x: float, y: float) -> int:
+        # the key of grid.cell_index, whose cell size check __init__ made once:
         # a nan, inf, None, str or huge int coordinate has no cell index
         r = self.cell_size
         try:
@@ -54,7 +53,7 @@ class PointStore:
             b = math.floor(y / r)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"coordinates ({x!r}, {y!r}) have no cell at cell size {r!r}") from None
-        return a, b, cell_key(a, b)
+        return cell_key(a, b)
 
     def insert(self, p: Point) -> tuple[int, float, float]:
         """Add a point; returns (cell key, old cell weight, new cell weight),
@@ -66,11 +65,11 @@ class PointStore:
         # for an int past the float range
         if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
             raise ValueError(f"weight must be finite and >= 0, got {w!r}")
-        a, b, key = self._locate(p.x, p.y)
+        key = self._locate(p.x, p.y)
         agg = self.cells.get(key)
         if agg is None:
             old, new = 0.0, w
-            self.cells[key] = CellAggregate(w, 1, (a, b))
+            self.cells[key] = CellAggregate(w, 1)
         else:
             old = agg.weight
             new = old + w
@@ -91,7 +90,7 @@ class PointStore:
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
         del self.points[pid]
-        _, _, key = self._locate(p.x, p.y)
+        key = self._locate(p.x, p.y)
         agg = self.cells[key]
         old = agg.weight
         if agg.count == 1:
@@ -109,7 +108,7 @@ class PointStore:
             raise UnknownIdError(f"point id {pid!r} not present")
         if type(w_new) is bool or not (isinstance(w_new, (int, float)) and 0.0 <= w_new <= _FLOAT_MAX):
             raise ValueError(f"weight must be finite and >= 0, got {w_new!r}")
-        _, _, key = self._locate(p.x, p.y)
+        key = self._locate(p.x, p.y)
         agg = self.cells[key]
         old = agg.weight
         delta = w_new - p.w

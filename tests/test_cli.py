@@ -1,10 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
 from conftest import random_events, random_points
-from swarmcover import format_points, format_trace
+from swarmcover import format_points, format_trace, static_place
 from swarmcover.cli import main
 
 THREE_CELLS = "1 0.5 0.5 3.0\n2 2.5 0.5 5.0\n3 4.5 0.5 1.0\n"
@@ -100,6 +101,23 @@ def test_replay_swap_and_noswap(tmp_path, capsys):
     assert lines[0].startswith("1 covered_weight 10.0 no-swap")
     assert "swap vacated=0 occupied=10" in lines[1]
     assert "covered_weight 12.0" in lines[1]
+
+
+def test_replay_verify_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+    def off_by_one(store, config):
+        placement = static_place(store, config)
+        return dataclasses.replace(placement, covered_weight=placement.covered_weight + 1.0)
+
+    monkeypatch.setattr("swarmcover.cli.static_place", off_by_one)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("a 0.5 0.5 10\nb 2.5 0.5 7\n")
+    trace = tmp_path / "trace.txt"
+    trace.write_text("U b 9.0\nU b 12.0\n")
+    code, out, err = run_cli(
+        capsys, "replay", str(pts), str(trace), "--r-cov", "0.5", "--m", "1", "--verify"
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["verify mismatch at event 1: dynamic 10.0 != static 11.0"]
 
 
 def test_replay_unknown_id_aborts(tmp_path, capsys):

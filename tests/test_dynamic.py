@@ -14,6 +14,7 @@ from swarmcover import (
     PointStore,
     UnknownIdError,
     build,
+    cell_geometry,
     cell_key,
     static_place,
 )
@@ -39,7 +40,7 @@ def test_build_empty_and_single_cell():
     cfg = GridConfig(0.5, "square", 2)
     state = build([], cfg)
     assert state.covered_weight() == 0.0
-    assert state.placements().drones[0].cell is None
+    assert state.placements().cells[0] is None
 
     state = build([Point(i, 0.1 * i, 0.05, 1.0) for i in range(5)], cfg)
     assert len(state.assignment) == 1
@@ -84,7 +85,7 @@ def test_delete_evicting_last_cell_parks_drone():
     assert report.moved
     assert report.occupied is None
     assert report.covered_weight_after == 0.0
-    assert state.placements().drones[0].cell is None
+    assert state.placements().cells[0] is None
 
 
 def test_new_cell_occupied_by_parked_drone():
@@ -162,10 +163,10 @@ def test_placements_geometry():
     cfg = GridConfig(0.5, "square", 2)
     state = build([Point(1, 0.5, 0.5, 2.0)], cfg)
     placement = state.placements()
-    covered = [d for d in placement.drones if d.cell is not None]
-    parked = [d for d in placement.drones if d.cell is None]
+    covered = [key for key in placement.cells if key is not None]
+    parked = [key for key in placement.cells if key is None]
     assert len(covered) == 1 and len(parked) == 1
-    g = covered[0].geometry
+    g = cell_geometry(covered[0], cfg)
     assert (g.min_x, g.min_y, g.side) == (0.0, 0.0, 1.0)
 
 

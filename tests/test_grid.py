@@ -35,6 +35,9 @@ def test_cell_index_rejects_bad_input():
         cell_index(0.0, 0.0, True)
     with pytest.raises(ValueError):
         cell_index(1e300, 0.0, 1e-300)  # x / r overflows to inf
+    for bad in (None, "1", 10**400):  # no float quotient, or one past the float range
+        with pytest.raises(ValueError):
+            cell_index(bad, 0.0, 1.0)
 
 
 def test_fold_signed_examples():
@@ -48,6 +51,13 @@ def test_fold_signed_round_trip():
         n = fold_signed(z)
         assert n >= 0
         assert unfold_signed(n) == z
+
+
+def test_inverses_reject_negatives():
+    with pytest.raises(ValueError):
+        unfold_signed(-1)
+    with pytest.raises(ValueError):
+        cantor_unpair(-1)
 
 
 def test_cantor_pair_examples():

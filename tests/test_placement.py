@@ -12,6 +12,7 @@ from swarmcover import (
     Point,
     PointStore,
     SquareGeometry,
+    cell_geometry,
     cell_key,
     exact_square_opt,
     static_place,
@@ -32,7 +33,7 @@ def test_static_place_example_top2():
     store, cfg = three_cell_store()
     placement = static_place(store, cfg)
     assert placement.covered_weight == 8.0
-    assert [d.cell for d in placement.drones] == [cell_key(2, 0), cell_key(0, 0)]
+    assert list(placement.cells) == [cell_key(2, 0), cell_key(0, 0)]
 
 
 def test_static_place_more_drones_than_cells():
@@ -40,16 +41,16 @@ def test_static_place_more_drones_than_cells():
     cfg = GridConfig(0.5, "square", 5)
     placement = static_place(store, cfg)
     assert placement.covered_weight == 9.0
-    parked = [d for d in placement.drones if d.cell is None]
+    parked = [i for i, key in enumerate(placement.cells) if key is None]
     assert len(parked) == 2
-    assert all(d.geometry is None for d in parked)
+    assert parked == [3, 4]  # surplus drones carry no cell, so no geometry
 
 
 def test_static_place_empty_store():
     cfg = GridConfig(0.5, "square", 3)
     placement = static_place(PointStore(cfg.cell_size), cfg)
     assert placement.covered_weight == 0.0
-    assert all(d.cell is None for d in placement.drones)
+    assert placement.cells == (None, None, None)
 
 
 def test_static_place_rejects_mismatched_store():
@@ -64,14 +65,14 @@ def test_tie_break_is_smaller_key():
     store.insert(Point(1, 0.5, 0.5, 4.0))
     store.insert(Point(2, 2.5, 0.5, 4.0))
     placement = static_place(store, cfg)
-    assert placement.drones[0].cell == min(cell_key(0, 0), cell_key(2, 0))
+    assert placement.cells[0] == min(cell_key(0, 0), cell_key(2, 0))
 
 
 def test_square_geometry_coincides_with_cell():
     cfg = GridConfig(0.5, "square", 1)
     store = PointStore(cfg.cell_size)
     store.insert(Point(1, 2.5, 0.5, 5.0))
-    g = static_place(store, cfg).drones[0].geometry
+    g = cell_geometry(static_place(store, cfg).cells[0], cfg)
     assert isinstance(g, SquareGeometry)
     assert (g.min_x, g.min_y, g.side) == (2.0, 0.0, 1.0)
 
@@ -80,12 +81,20 @@ def test_disk_geometry_circumscribes_cell():
     cfg = GridConfig(1.0, "disk", 1)
     store = PointStore(cfg.cell_size)
     store.insert(Point(1, 0.5, 0.5, 5.0))
-    g = static_place(store, cfg).drones[0].geometry
+    g = cell_geometry(static_place(store, cfg).cells[0], cfg)
     assert isinstance(g, DiskGeometry)
     root2 = math.sqrt(2.0)
     assert g.center_x == pytest.approx(root2 / 2)
     assert g.center_y == pytest.approx(root2 / 2)
     assert g.radius == 1.0
+
+
+def test_cell_geometry_comes_from_the_key():
+    square = GridConfig(0.5, "square", 1)
+    assert cell_geometry(cell_key(-3, 2), square) == SquareGeometry(-3.0, 2.0, 1.0)
+    disk = GridConfig(1.0, "disk", 1)
+    r = disk.cell_size
+    assert cell_geometry(cell_key(4, -7), disk) == DiskGeometry(4.5 * r, -6.5 * r, 1.0)
 
 
 def test_disk_contains_all_cell_members():
@@ -96,13 +105,12 @@ def test_disk_contains_all_cell_members():
         for i in range(rng.randint(1, 30)):
             store.insert(Point(i, rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 5)))
         placement = static_place(store, cfg)
-        for site in placement.drones:
-            if site.cell is None:
+        for cell in placement.cells:
+            if cell is None:
                 continue
-            g = site.geometry
+            g = cell_geometry(cell, cfg)
             for p in store.points.values():
-                a, b, key = store._locate(p.x, p.y)
-                if key == site.cell:
+                if store._locate(p.x, p.y) == cell:
                     dist = math.hypot(p.x - g.center_x, p.y - g.center_y)
                     assert dist <= cfg.r_cov + 1e-9
 
@@ -128,11 +136,11 @@ def test_chosen_square_centers_are_apart():
         for i in range(rng.randint(5, 40)):
             store.insert(Point(i, rng.uniform(0, 12), rng.uniform(0, 12), rng.uniform(0, 10)))
         placement = static_place(store, cfg)
-        chosen = [d for d in placement.drones if d.cell is not None]
-        assert len({d.cell for d in chosen}) == len(chosen)
+        chosen = [key for key in placement.cells if key is not None]
+        assert len(set(chosen)) == len(chosen)
         centers = [
             (g.min_x + g.side / 2, g.min_y + g.side / 2)
-            for g in (d.geometry for d in chosen)
+            for g in (cell_geometry(key, cfg) for key in chosen)
         ]
         for (x1, y1), (x2, y2) in combinations(centers, 2):
             assert math.hypot(x1 - x2, y1 - y2) >= 2 * cfg.r_cov - 1e-9
@@ -166,7 +174,7 @@ def test_static_place_4m_dominates_opt():
     store = make_store(points, cfg.cell_size)
     placement = static_place_4m(store, cfg)
     assert placement.covered_weight == 4.0
-    assert len(placement.drones) == 4
+    assert len(placement.cells) == 4
 
     rng = random.Random(43)
     for _ in range(40):
@@ -183,7 +191,7 @@ def test_static_place_4m_single_point():
     store.insert(Point(1, 0.2, 0.2, 7.0))
     placement = static_place_4m(store, cfg)
     assert placement.covered_weight == 7.0
-    assert sum(1 for d in placement.drones if d.cell is not None) == 1
+    assert sum(1 for key in placement.cells if key is not None) == 1
 
 
 def test_static_place_4m_rejects_disks():

@@ -11,6 +11,7 @@ from swarmcover import (
     UnknownIdError,
     cell_index,
     cell_key,
+    cell_key_to_index,
 )
 
 
@@ -63,6 +64,17 @@ def test_insert_with_unrepresentable_cell_index_leaves_store_unchanged():
     assert [(agg.weight, agg.count) for agg in store.cells.values()] == [(1.0, 1)]
 
 
+def test_len_counts_live_points():
+    store = PointStore(1.0)
+    assert len(store) == 0
+    for i in range(5):
+        store.insert(Point(i, 0.5 * i, 0.5, 1.0))
+    store.delete(1)
+    store.delete(3)
+    store.update_weight(0, 2.0)
+    assert len(store) == 3
+
+
 def test_delete_examples():
     store = PointStore(1.0)
     store.insert(Point(1, 0.5, 0.5, 3.0))
@@ -106,7 +118,8 @@ def test_locate_agrees_with_cell_key():
         r = rng.uniform(0.1, 5.0)
         store = PointStore(r)
         x, y = rng.uniform(-100, 100), rng.uniform(-100, 100)
-        a, b, key = store._locate(x, y)
+        key = store._locate(x, y)
+        a, b = cell_key_to_index(key)
         assert (a, b) == (math.floor(x / r), math.floor(y / r))
         assert key == cell_key(a, b)
 
