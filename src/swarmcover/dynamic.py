@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .grid import GridConfig, Point
+from .grid import _FIXED_ONE, GridConfig, Point, _fixed
 from .placement import Placement, check_same_grid, rank_cells
 from .store import PointStore
 
@@ -39,15 +39,6 @@ UPDATE = "update"
 # rebuild a heap once stale entries outnumber live ones this many times over
 _COMPACT_FACTOR = 4
 _COMPACT_SLACK = 64
-
-# the covered total counts steps of 2**-1074, the smallest float step
-_FIXED_ONE = 1 << 1074
-
-
-def _fixed(w: float) -> int:
-    n, d = w.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
 
 def _min_heap(pairs: Iterable[tuple[int, float]]) -> list[tuple[float, int]]:
     """Covered-pool heap over (key, weight) pairs: lightest, then smallest key, on top."""

@@ -7,6 +7,7 @@ natural numbers suitable as dictionary keys.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SQUARE = "square"
 DISK = "disk"
@@ -15,10 +16,19 @@ _SHAPES = (SQUARE, DISK)
 # (a, b) = floor-divided coordinates of a grid cell
 CellIndex = tuple[int, int]
 
+# exact weight sums count steps of 2**-1074, the smallest float step
+_FIXED_ONE = 1 << 1074
 
-@dataclass(slots=True)
-class Point:
-    """A weighted planar point; ``id`` is any hashable caller-chosen token."""
+
+def _fixed(w: float) -> int:
+    """A float weight as an exact integer count of 2**-1074 steps."""
+    n, d = w.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+class Point(NamedTuple):
+    """A weighted planar point, an immutable value (a store keeps the one it
+    was given); ``id`` is any hashable caller-chosen token."""
 
     id: object
     x: float

@@ -157,6 +157,16 @@ def test_replay_deterministic_report(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: the axis bound sums window weights in floats")
+def test_place_bound_is_at_least_the_covered_weight(tmp_path, capsys):
+    f = tmp_path / "pts.txt"
+    f.write_text("1 0.5 0.5 1e16\n2 100.2 100.2 1.0\n3 100.3 100.3 1.0\n4 100.4 100.4 1.0\n")
+    code, out, _ = run_cli(capsys, "place", str(f), "--r-cov", "0.5", "--m", "2")
+    assert code == 0
+    words = out.split()
+    assert float(words[words.index("bound") + 1]) >= float(words[words.index("covered_weight") + 1])
+
+
 def test_oracle_straddle_ratio(tmp_path, capsys):
     f = tmp_path / "pts.txt"
     f.write_text(STRADDLE)

@@ -339,3 +339,12 @@ def test_covered_total_past_float_range_raises_until_back_in_range():
         state.covered_weight()  # never a stale float
     assert state.apply(Event.delete("a")).covered_weight_after == 1e308 + 1.0
     assert state.covered_weight() == math.fsum(state.store.cells[key].weight for key in state.assignment)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: cell weights are running float sums that drift")
+def test_cell_weight_is_exact_after_the_heavy_point_leaves():
+    cfg = GridConfig(0.5, "square", 1)
+    state = build([Point(1, 0.5, 0.5, 1e16), Point(2, 0.5, 0.5, 1.0), Point(3, 0.5, 0.5, 1.0)], cfg)
+    state.apply(Event.delete(1))
+    state.apply(Event.delete(2))
+    assert state.covered_weight() == 1.0

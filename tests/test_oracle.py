@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import make_store, random_disk_case, random_square_case, straddle_points
+from conftest import make_store, random_disk_case, random_interval_case, random_square_case, straddle_points
 from swarmcover import (
     GridConfig,
     IntervalInstance,
@@ -210,3 +211,89 @@ def test_mwpihp_size_guard():
     items = [(float(i), 1.0) for i in range(13)]
     with pytest.raises(OracleSizeError):
         exact_mwpihp(IntervalInstance(items, 1.0, 1))
+
+
+# magnitudes a float sum rounds away: 1e16 + 1.0 == 1e16, and the subnormal step
+ADVERSARIAL_WEIGHTS = (1e16, 3.0, 1.0, 5e-324, 0.0)
+
+
+def exact_sum(weights):
+    return float(sum(Fraction(w) for w in weights))
+
+
+def reweighted(rng, points, adversarial):
+    if not adversarial:
+        return points
+    return [p._replace(w=rng.choice(ADVERSARIAL_WEIGHTS)) for p in points]
+
+
+@pytest.mark.parametrize("adversarial", [False, True], ids=["uniform", "adversarial"])
+def test_square_opt_is_the_exact_weight_its_witness_covers(adversarial):
+    rng = random.Random(107)
+    cases = [([Point(1, 0.0, 0.0, 1.0), Point(2, 0.0, 0.0, 1.0), Point(3, 0.0, 0.0, 1e16)], 1.0, 1)]
+    for _ in range(1000):
+        points, r_cov, m = random_square_case(rng)
+        cases.append((reweighted(rng, points, adversarial), r_cov, m))
+    for points, r_cov, m in cases:
+        res = exact_square_opt(points, r_cov, m)
+        side = 2.0 * r_cov
+        covered = [p.w for p in points
+                   if any(cx <= p.x <= cx + side and cy <= p.y <= cy + side for cx, cy in res.witness)]
+        assert res.opt_weight == exact_sum(covered)
+
+
+@pytest.mark.parametrize("adversarial", [False, True], ids=["uniform", "adversarial"])
+def test_disk_opt_is_the_exact_weight_its_witness_covers(adversarial):
+    rng = random.Random(109)
+    cases = [([Point(1, 0.0, 0.0, 1.0), Point(2, 0.5, 0.0, 1.0), Point(3, 0.0, 0.5, 1e16)], 1.0, 1)]
+    for _ in range(1000):
+        points, r_cov, m = random_disk_case(rng)
+        cases.append((reweighted(rng, points, adversarial), r_cov, m))
+    for points, r_cov, m in cases:
+        res = exact_disk_opt(points, r_cov, m)
+        slack = 1e-12 * (1.0 + r_cov * r_cov)  # the oracle's own closed test
+        covered = [p.w for p in points
+                   if any((p.x - cx) * (p.x - cx) + (p.y - cy) * (p.y - cy) <= r_cov * r_cov + slack
+                          for cx, cy in res.witness)]
+        assert res.opt_weight == exact_sum(covered)
+
+
+def fraction_mwpihp(instance):
+    """Test-only brute force: every choice of min(m, #lefts) distinct left
+    endpoints, each stabbed set summed in Fractions, the best rounded once."""
+    lefts, weights, length = instance.lefts, instance.weights, instance.length
+    distinct = sorted(set(lefts))
+    stabbed = set()
+    for combo in combinations(distinct, min(instance.m, len(distinct))):
+        stabbed.add(frozenset(i for i, l in enumerate(lefts) if any(l <= t <= l + length for t in combo)))
+    return max(exact_sum(weights[i] for i in s) for s in stabbed)
+
+
+@pytest.mark.parametrize("adversarial", [False, True], ids=["uniform", "adversarial"])
+def test_mwpihp_equals_a_fraction_brute_force(adversarial):
+    rng = random.Random(113)
+    cases = [([(0.0, 1.0), (0.5, 1.0), (1.0, 1e16)], 2.0, 1)]
+    for _ in range(1000):
+        items, length, m = random_interval_case(rng)
+        if adversarial:
+            items = [(l, rng.choice(ADVERSARIAL_WEIGHTS)) for l, _ in items]
+        cases.append((items, length, m))
+    for items, length, m in cases:
+        instance = IntervalInstance(items, length, m)
+        assert exact_mwpihp(instance) == fraction_mwpihp(instance)
+
+
+@pytest.mark.parametrize("weight", [-5.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_oracles_reject_bad_weights(weight):
+    pts = [Point(1, 0.0, 0.0, 1.0), Point(2, 0.1, 0.1, weight)]
+    for oracle in (exact_square_opt, exact_disk_opt):
+        with pytest.raises(ValueError, match="weight must be finite and >= 0"):
+            oracle(pts, 1.0, 1)
+
+
+def test_optimum_past_float_range_raises_overflow():
+    # each weight is finite; their exact sum is not, and is never rounded to inf
+    pts = [Point(1, 0.0, 0.0, 1e308), Point(2, 0.1, 0.1, 1e308)]
+    for oracle in (exact_square_opt, exact_disk_opt):
+        with pytest.raises(OverflowError):
+            oracle(pts, 1.0, 1)

@@ -64,6 +64,20 @@ def test_insert_with_unrepresentable_cell_index_leaves_store_unchanged():
     assert [(agg.weight, agg.count) for agg in store.cells.values()] == [(1.0, 1)]
 
 
+def test_points_are_immutable_so_a_caller_cannot_corrupt_the_store():
+    store = PointStore(1.0)
+    p = Point(1, 0.5, 0.5, 1.0)
+    store.insert(p)
+    store.insert(Point(2, 0.6, 0.6, 2.0))
+    for field, value in (("x", 10.0), ("w", 5.0)):
+        with pytest.raises(AttributeError):
+            setattr(p, field, value)
+    assert store.points[1] == Point(1, 0.5, 0.5, 1.0)
+    key, old, new = store.delete(1)
+    assert (old, new) == (3.0, 2.0)
+    assert (store.cells[key].weight, store.cells[key].count) == (2.0, 1)
+
+
 def test_len_counts_live_points():
     store = PointStore(1.0)
     assert len(store) == 0
