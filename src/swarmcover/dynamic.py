@@ -47,13 +47,6 @@ def _min_heap(pairs: Iterable[tuple[int, float]]) -> list[tuple[float, int]]:
     return heap
 
 
-def _max_heap(pairs: Iterable[tuple[int, float]]) -> list[tuple[float, int]]:
-    """Uncovered-pool heap over (key, weight) pairs: heaviest, then largest key, on top."""
-    heap = [(-w, -key) for key, w in pairs]
-    heapq.heapify(heap)
-    return heap
-
-
 @dataclass(frozen=True)
 class Event:
     """One replayable mutation of the point set."""
@@ -94,15 +87,14 @@ class CoverageState:
         check_same_grid(store, config)
         self.store = store
         self.config = config
-        ranked = rank_cells(store)
-        k = min(config.m, len(ranked))
-        self.assignment: dict[int, int] = {key: i for i, (key, _) in enumerate(ranked[:k])}
+        ranked = rank_cells(store, config.m)
+        self.assignment: dict[int, int] = {key: i for i, (key, _) in enumerate(ranked)}
         # exact covered weight in 2**-1074 steps, and its rounding once asked for
-        self._covered_fixed = sum(_fixed(w) for _, w in ranked[:k])
+        self._covered_fixed = sum(_fixed(w) for _, w in ranked)
         self._covered: float | None = None
-        self._parked: list[int] = list(range(k, config.m))  # ascending == valid heap
-        self._heap_min = _min_heap(ranked[:k])
-        self._heap_max = _max_heap(ranked[k:])
+        self._parked: list[int] = list(range(len(ranked), config.m))  # ascending == valid heap
+        self._heap_min = _min_heap(ranked)
+        self._heap_max = self._uncovered_heap()
 
     # -- pool extrema ---------------------------------------------------
 
@@ -221,7 +213,14 @@ class CoverageState:
         if len(self._heap_min) > _COMPACT_FACTOR * len(assignment) + _COMPACT_SLACK:
             self._heap_min = _min_heap((key, cells[key].weight) for key in assignment)
         if len(self._heap_max) > _COMPACT_FACTOR * (len(cells) - len(assignment)) + _COMPACT_SLACK:
-            self._heap_max = _max_heap((key, agg.weight) for key, agg in cells.items() if key not in assignment)
+            self._heap_max = self._uncovered_heap()
+
+    def _uncovered_heap(self) -> list[tuple[float, int]]:
+        """Uncovered-pool heap, the cells outside the assignment: heaviest, then largest key, on top."""
+        assignment = self.assignment
+        heap = [(-agg.weight, -key) for key, agg in self.store.cells.items() if key not in assignment]
+        heapq.heapify(heap)
+        return heap
 
 
 def build(points: Iterable[Point], config: GridConfig) -> CoverageState:

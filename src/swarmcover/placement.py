@@ -8,6 +8,10 @@ a store that is not being mutated.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import attrgetter
+
+import numpy as np
 
 from .grid import DISK, SQUARE, GridConfig, cell_center, cell_key_to_index
 from .store import PointStore
@@ -51,12 +55,18 @@ def cell_geometry(key: int, config: GridConfig) -> SquareGeometry | DiskGeometry
     return DiskGeometry(cx, cy, config.r_cov)
 
 
-def rank_cells(store: PointStore) -> list[tuple[int, float]]:
-    """Live cells as (key, weight), heaviest first, key ascending on ties."""
-    return sorted(
-        ((key, agg.weight) for key, agg in store.cells.items()),
-        key=lambda kw: (-kw[1], kw[0]),
-    )
+def rank_cells(store: PointStore, k: int | None = None) -> list[tuple[int, float]]:
+    """The k heaviest live cells (all when k is None) as (key, weight), heaviest
+    first, key ascending on ties. O(C + k' log k') for C cells: np.partition finds
+    the k-th heaviest weight as a cut, and only the k' cells at or above it are sorted."""
+    n = len(cells := store.cells)
+    k = n if k is None else min(k, n)
+    if k <= 0:
+        return []
+    weights = np.fromiter(map(attrgetter("weight"), cells.values()), float, n)
+    at_or_above_cut = (weights >= np.partition(weights, n - k)[n - k]).tolist()
+    ranked = sorted([(-agg.weight, key) for key, agg in compress(cells.items(), at_or_above_cut)])[:k]
+    return [(key, -nw) for nw, key in ranked]  # negation is exact, so -nw is the store's weight
 
 
 def check_same_grid(store: PointStore, config: GridConfig) -> None:
@@ -72,9 +82,10 @@ def static_place(store: PointStore, config: GridConfig) -> Placement:
 
     Ties break toward the smaller cell key; the surplus drones, the last
     ones, are parked. The covered weight is the fsum of the chosen aggregates.
+    O(C + m log m) for C cells, plus a sort of the cells tied with the m-th.
     """
     check_same_grid(store, config)
-    chosen = rank_cells(store)[: config.m]
+    chosen = rank_cells(store, config.m)
     covered = math.fsum(w for _, w in chosen)
     cells = tuple(key for key, _ in chosen) + (None,) * (config.m - len(chosen))
     return Placement(cells, covered, config)

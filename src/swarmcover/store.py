@@ -14,6 +14,14 @@ from .grid import Point, cell_key, check_size
 _FLOAT_MAX = sys.float_info.max
 
 
+def _float_weight(w: object) -> float:
+    """``w`` (an int or float, not a bool, in [0, max float]) as a float, else ValueError.
+    A chained compare: math.isfinite raises OverflowError for an int past the float range."""
+    if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
+        raise ValueError(f"weight must be finite and >= 0, got {w!r}")
+    return float(w)
+
+
 class DuplicateIdError(KeyError):
     """Insert of an id that is already present."""
 
@@ -24,7 +32,7 @@ class UnknownIdError(KeyError):
 
 @dataclass(slots=True)
 class CellAggregate:
-    weight: float  # running sum of member point weights
+    weight: float  # running sum of member point weights, each taken as a float
     count: int  # member points; always >= 1 while the cell is stored
 
 
@@ -60,11 +68,8 @@ class PointStore:
         the old weight 0.0 for a new cell."""
         if p.id in self.points:
             raise DuplicateIdError(f"point id {p.id!r} already present")
-        w = p.w
-        # a chained compare, not math.isfinite, which raises OverflowError
-        # for an int past the float range
-        if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
-            raise ValueError(f"weight must be finite and >= 0, got {w!r}")
+        if type(w := p.w) is not float or not 0.0 <= w <= _FLOAT_MAX:
+            w = _float_weight(w)
         key = self._locate(p.x, p.y)
         agg = self.cells.get(key)
         if agg is None:
@@ -106,8 +111,8 @@ class PointStore:
         p = self.points.get(pid)
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
-        if type(w_new) is bool or not (isinstance(w_new, (int, float)) and 0.0 <= w_new <= _FLOAT_MAX):
-            raise ValueError(f"weight must be finite and >= 0, got {w_new!r}")
+        if type(w_new) is not float or not 0.0 <= w_new <= _FLOAT_MAX:
+            w_new = _float_weight(w_new)
         key = self._locate(p.x, p.y)
         agg = self.cells[key]
         old = agg.weight

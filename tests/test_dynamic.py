@@ -341,6 +341,17 @@ def test_covered_total_past_float_range_raises_until_back_in_range():
     assert state.covered_weight() == math.fsum(state.store.cells[key].weight for key in state.assignment)
 
 
+def test_int_weights_are_taken_as_floats_so_dynamic_equals_static():
+    # fsum rounds an int to a float first; the exact covered total must see that same float
+    cfg = GridConfig(0.5, "square", 3)
+    state = build([Point(i, i + 0.5, 0.5, 2**53 + 1) for i in range(3)], cfg)
+    assert all(type(agg.weight) is float for agg in state.store.cells.values())
+    assert repr(state.covered_weight()) == repr(static_place(state.store, cfg).covered_weight) == "2.7021597764222976e+16"
+    state.apply(Event.update(0, 2**53 + 3))
+    assert type(state.store.cells[cell_key(0, 0)].weight) is float
+    assert repr(state.covered_weight()) == repr(static_place(state.store, cfg).covered_weight)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: cell weights are running float sums that drift")
 def test_cell_weight_is_exact_after_the_heavy_point_leaves():
     cfg = GridConfig(0.5, "square", 1)

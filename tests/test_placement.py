@@ -7,6 +7,7 @@ import pytest
 from conftest import make_store, random_square_case, straddle_points
 from swarmcover import (
     GUARANTEE,
+    CoverageState,
     DiskGeometry,
     GridConfig,
     Point,
@@ -15,6 +16,7 @@ from swarmcover import (
     cell_geometry,
     cell_key,
     exact_square_opt,
+    rank_cells,
     static_place,
     static_place_4m,
 )
@@ -198,3 +200,54 @@ def test_static_place_4m_rejects_disks():
     cfg = GridConfig(1.0, "disk", 1)
     with pytest.raises(ValueError):
         static_place_4m(PointStore(cfg.cell_size), cfg)
+
+
+def sorted_cells(store):
+    """Reference ranking: every live cell, fully sorted by (-weight, key)."""
+    return sorted(((key, agg.weight) for key, agg in store.cells.items()), key=lambda kw: (-kw[1], kw[0]))
+
+
+ONE_UP = math.nextafter(1.0, math.inf)
+RANK_WEIGHTS = {
+    "ties": [3.0, 1.0, 3.0, 3.0, 1.0, 2.0, 3.0, 1.0],
+    "signed_zeros": [0.0, -0.0, 1.0, -0.0, 0.0, 0.0, -0.0, 2.0, -0.0],
+    "subnormals": [5e-324, 1e-323, 0.0, 5e-324, 2.2250738585072014e-308, -0.0, 5e-324],
+    "one_ulp_apart": [1.0, ONE_UP, math.nextafter(1.0, 0.0), 1.0, math.nextafter(ONE_UP, math.inf), ONE_UP],
+    "empty": [],
+}
+
+
+def one_point_per_cell(weights, cell_size, seed=0):
+    """A store with one point of each weight, each alone in its cell; the
+    cells are shuffled over a grid so key order is not insertion order."""
+    side = math.isqrt(len(weights)) + 1
+    cells = [(a, b) for a in range(-side, side) for b in range(-side, side)]
+    random.Random(seed).shuffle(cells)
+    return make_store([Point(i, (a + 0.5) * cell_size, (b + 0.5) * cell_size, w)
+                       for i, (w, (a, b)) in enumerate(zip(weights, cells))], cell_size)
+
+
+@pytest.mark.parametrize("family", sorted(RANK_WEIGHTS))
+def test_rank_cells_top_k_is_the_full_sorts_prefix(family):
+    store = one_point_per_cell(RANK_WEIGHTS[family], 1.0)
+    full = [repr(kw) for kw in sorted_cells(store)]  # repr tells 0.0 from -0.0
+    assert [repr(kw) for kw in rank_cells(store)] == full
+    for k in range(len(store.cells) + 3):
+        assert [repr(kw) for kw in rank_cells(store, k)] == full[:k], k
+
+
+@pytest.mark.parametrize("shape", ["square", "disk"])
+@pytest.mark.parametrize("family", sorted(set(RANK_WEIGHTS) - {"empty"}))
+def test_coverage_state_setup_matches_a_full_sort(shape, family):
+    cell_size = GridConfig(0.5, shape, 1).cell_size
+    store = one_point_per_cell(RANK_WEIGHTS[family], cell_size, seed=7)
+    ranked = sorted_cells(store)
+    c = len(ranked)
+    for m in (1, c - 1, c, c + 3):
+        state = CoverageState(store, GridConfig(0.5, shape, m))
+        k = min(m, c)
+        assert list(state.assignment.items()) == [(key, i) for i, (key, _) in enumerate(ranked[:k])]
+        assert state._parked == list(range(k, m))
+        assert repr(state.covered_weight()) == repr(math.fsum(w for _, w in ranked[:k]))
+        assert sorted(map(repr, state._heap_min)) == sorted(repr((w, key)) for key, w in ranked[:k])
+        assert sorted(map(repr, state._heap_max)) == sorted(repr((-w, -key)) for key, w in ranked[k:])
