@@ -6,6 +6,7 @@ natural numbers suitable as dictionary keys.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,6 +16,8 @@ _SHAPES = (SQUARE, DISK)
 
 # (a, b) = floor-divided coordinates of a grid cell
 CellIndex = tuple[int, int]
+
+_FLOAT_MAX = sys.float_info.max
 
 # exact weight sums count steps of 2**-1074, the smallest float step
 _FIXED_ONE = 1 << 1074
@@ -54,6 +57,10 @@ class GridConfig:
         check_size(self.r_cov, "r_cov")
         if self.shape not in _SHAPES:
             raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
+        if self.cell_size == math.inf:
+            raise ValueError(
+                f"r_cov {self.r_cov!r} is too large: its {self.shape} cell size overflows the float range"
+            )
         check_count(self.m, "m", 1)
 
     @property
@@ -65,10 +72,9 @@ class GridConfig:
 
 def check_size(value, name: str) -> None:
     """Reject a length that is not a positive finite int or float (bools
-    are not lengths)."""
-    if type(value) is bool or not (
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-    ):
+    are not lengths). A chained compare, as in _float_weight: math.isfinite
+    raises OverflowError for an int past the float range."""
+    if type(value) is bool or not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -76,6 +82,15 @@ def check_count(value, name: str, minimum: int) -> None:
     """Reject a count that is not an int >= minimum (bools are not counts)."""
     if type(value) is bool or not (isinstance(value, int) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _float_weight(w: object) -> float:
+    """``w`` (an int or float, not a bool, in [0, max float]) as a float, else
+    ValueError: the one weight rule of the store and the oracles. A chained
+    compare: math.isfinite raises OverflowError for an int past the float range."""
+    if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
+        raise ValueError(f"weight must be finite and >= 0, got {w!r}")
+    return float(w)
 
 
 def cell_index(x: float, y: float, r: float) -> CellIndex:

@@ -11,12 +11,11 @@ points would otherwise miss their own circle by a last bit.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .grid import _FIXED_ONE, Point, _fixed, check_count, check_size
+from .grid import _FIXED_ONE, Point, _fixed, _float_weight, check_count, check_size
 from .intervals import IntervalInstance
 
 MAX_SQUARE_POINTS, MAX_SQUARE_SHAPES = 12, 3
@@ -78,9 +77,8 @@ def _best_cover(items: Sequence, weights: Sequence[float], positions: Iterable,
     min(m, #maximal) maximal sets. Sums are exact and the winner is rounded
     once, so a weight sum past the float range raises OverflowError.
     """
-    for w in weights:  # the store's weight rule
-        if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= sys.float_info.max):
-            raise ValueError(f"weight must be finite and >= 0, got {w!r}")
+    for w in weights:
+        _float_weight(w)
     cand: dict[int, object] = {}
     for pos in positions:
         mask = sum(1 << i for i, item in enumerate(items) if covers(pos, item))

@@ -6,20 +6,9 @@ concurrently between mutations. Aggregates are maintained incrementally
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .grid import Point, cell_key, check_size
-
-_FLOAT_MAX = sys.float_info.max
-
-
-def _float_weight(w: object) -> float:
-    """``w`` (an int or float, not a bool, in [0, max float]) as a float, else ValueError.
-    A chained compare: math.isfinite raises OverflowError for an int past the float range."""
-    if type(w) is bool or not (isinstance(w, (int, float)) and 0.0 <= w <= _FLOAT_MAX):
-        raise ValueError(f"weight must be finite and >= 0, got {w!r}")
-    return float(w)
+from .grid import _FLOAT_MAX, Point, _float_weight, cell_key, check_size
 
 
 class DuplicateIdError(KeyError):
@@ -32,7 +21,7 @@ class UnknownIdError(KeyError):
 
 @dataclass(slots=True)
 class CellAggregate:
-    weight: float  # running sum of member point weights, each taken as a float
+    weight: float  # sum of member point weights as floats, written only by PointStore._step
     count: int  # member points; always >= 1 while the cell is stored
 
 
@@ -52,16 +41,33 @@ class PointStore:
     def __len__(self) -> int:
         return len(self.points)
 
-    def _locate(self, x: float, y: float) -> int:
+    def _step(self, x: float, y: float, dw: float, dn: int) -> tuple[int, float, float]:
+        """Add ``dw`` to the weight and ``dn`` to the count of the cell of
+        (x, y); returns (cell key, old cell weight, new cell weight). Only an
+        insert (dn = 1) meets a cell that is not stored; it takes ``dw`` as
+        its weight. A cell left with no points is evicted at new weight 0.0.
+        Nothing is written if (x, y) has no cell or the weight overflows."""
         # the key of grid.cell_index, whose cell size check __init__ made once:
         # a nan, inf, None, str or huge int coordinate has no cell index
         r = self.cell_size
         try:
-            a = math.floor(x / r)
-            b = math.floor(y / r)
+            key = cell_key(math.floor(x / r), math.floor(y / r))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"coordinates ({x!r}, {y!r}) have no cell at cell size {r!r}") from None
-        return cell_key(a, b)
+        agg = self.cells.get(key)
+        if agg is None:
+            self.cells[key] = CellAggregate(dw, 1)
+            return key, 0.0, dw
+        old = agg.weight
+        if not (count := agg.count + dn):
+            del self.cells[key]
+            return key, old, 0.0
+        new = old + dw
+        if new == math.inf:  # an inf cell weight would never come back down
+            raise ValueError(f"cell weight {old!r} + {dw!r} overflows the float range")
+        agg.weight = new
+        agg.count = count
+        return key, old, new
 
     def insert(self, p: Point) -> tuple[int, float, float]:
         """Add a point; returns (cell key, old cell weight, new cell weight),
@@ -70,20 +76,9 @@ class PointStore:
             raise DuplicateIdError(f"point id {p.id!r} already present")
         if type(w := p.w) is not float or not 0.0 <= w <= _FLOAT_MAX:
             w = _float_weight(w)
-        key = self._locate(p.x, p.y)
-        agg = self.cells.get(key)
-        if agg is None:
-            old, new = 0.0, w
-            self.cells[key] = CellAggregate(w, 1)
-        else:
-            old = agg.weight
-            new = old + w
-            if new == math.inf:  # an inf cell weight would never come back down
-                raise ValueError(f"cell weight {old!r} + {w!r} overflows the float range")
-            agg.weight = new
-            agg.count += 1
+        step = self._step(p.x, p.y, w, 1)
         self.points[p.id] = p
-        return key, old, new
+        return step
 
     def delete(self, pid: object) -> tuple[int, float, float]:
         """Remove a point; returns (cell key, old cell weight, new cell weight).
@@ -91,19 +86,10 @@ class PointStore:
         The new weight is 0.0 when the point was the cell's last and the
         cell is evicted.
         """
-        p = self.points.get(pid)
+        p = self.points.pop(pid, None)
         if p is None:
             raise UnknownIdError(f"point id {pid!r} not present")
-        del self.points[pid]
-        key = self._locate(p.x, p.y)
-        agg = self.cells[key]
-        old = agg.weight
-        if agg.count == 1:
-            del self.cells[key]
-            return key, old, 0.0
-        agg.count -= 1
-        agg.weight = old - p.w
-        return key, old, agg.weight
+        return self._step(p.x, p.y, -p.w, -1)
 
     def update_weight(self, pid: object, w_new: float) -> tuple[int, float, float]:
         """Replace a point's weight; returns (cell key, old cell weight, new
@@ -113,14 +99,6 @@ class PointStore:
             raise UnknownIdError(f"point id {pid!r} not present")
         if type(w_new) is not float or not 0.0 <= w_new <= _FLOAT_MAX:
             w_new = _float_weight(w_new)
-        key = self._locate(p.x, p.y)
-        agg = self.cells[key]
-        old = agg.weight
-        delta = w_new - p.w
-        new = old + delta
-        if new == math.inf:
-            raise ValueError(f"cell weight {old!r} + {delta!r} overflows the float range")
-        agg.weight = new
+        step = self._step(p.x, p.y, w_new - p.w, 0)
         self.points[pid] = Point(p.id, p.x, p.y, w_new)
-        return key, old, new
-
+        return step

@@ -69,6 +69,16 @@ def test_place_unrepresentable_cell_index_exits_2(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_bound_r_cov_whose_cell_size_overflows_exits_2_naming_r_cov(tmp_path, capsys):
+    f = tmp_path / "pts.txt"
+    f.write_text(THREE_CELLS)
+    code, out, err = run_cli(capsys, "bound", str(f), "--r-cov", "1e308")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: r_cov 1e+308 ")
+
+
 def test_covered_total_past_float_range_is_an_error_not_a_traceback(tmp_path, capsys):
     # each cell weight is finite; their sum is not
     points = tmp_path / "pts.txt"

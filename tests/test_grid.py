@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -143,3 +144,14 @@ def test_grid_config_validation():
         GridConfig(1.0, "triangle", 1)
     with pytest.raises(ValueError):
         GridConfig(1.0, "square", 0)
+    with pytest.raises(ValueError, match="r_cov"):
+        GridConfig(10**400, "square", 1)  # an int past the float range
+
+
+def test_grid_config_rejects_an_r_cov_whose_cell_size_overflows():
+    with pytest.raises(ValueError, match=r"r_cov 1e\+308 .*square cell size overflows"):
+        GridConfig(1e308, "square", 1)
+    with pytest.raises(ValueError, match=r"r_cov 1\.7e\+308 .*disk cell size overflows"):
+        GridConfig(1.7e308, "disk", 1)
+    assert GridConfig(1e308, "disk", 1).cell_size == math.sqrt(2.0) * 1e308
+    assert GridConfig(sys.float_info.max / 2, "square", 1).cell_size == sys.float_info.max

@@ -14,6 +14,7 @@ from swarmcover import (
     PointStore,
     SquareGeometry,
     cell_geometry,
+    cell_index,
     cell_key,
     exact_square_opt,
     rank_cells,
@@ -104,15 +105,18 @@ def test_disk_contains_all_cell_members():
     for _ in range(50):
         cfg = GridConfig(rng.uniform(0.4, 2.0), "disk", rng.randint(1, 4))
         store = PointStore(cfg.cell_size)
+        keys = {}
         for i in range(rng.randint(1, 30)):
-            store.insert(Point(i, rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 5)))
+            p = Point(i, rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 5))
+            keys[i] = store.insert(p)[0]
+            assert keys[i] == cell_key(*cell_index(p.x, p.y, cfg.cell_size))
         placement = static_place(store, cfg)
         for cell in placement.cells:
             if cell is None:
                 continue
             g = cell_geometry(cell, cfg)
             for p in store.points.values():
-                if store._locate(p.x, p.y) == cell:
+                if keys[p.id] == cell:
                     dist = math.hypot(p.x - g.center_x, p.y - g.center_y)
                     assert dist <= cfg.r_cov + 1e-9
 
