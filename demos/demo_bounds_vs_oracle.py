@@ -25,9 +25,7 @@ rng = random.Random(7)
 
 def report(name, points, r_cov, m):
     config = GridConfig(r_cov, "square", m)
-    store = PointStore(config.cell_size)
-    for p in points:
-        store.insert(p)
+    store = PointStore(config.cell_size, points)
     sol = static_place(store, config).covered_weight
     opt = exact_square_opt(points, r_cov, m).opt_weight
     _, _, bound = upper_bound_2d(store, config)

@@ -33,9 +33,7 @@ total = sum(p.w for p in points)
 print(f"{len(points)} weighted points, total weight {total:.1f}")
 
 config = GridConfig(r_cov=3.0, shape="square", m=2)
-store = PointStore(config.cell_size)
-for p in points:
-    store.insert(p)
+store = PointStore(config.cell_size, points)
 
 placement = static_place(store, config)
 factor = GUARANTEE[config.shape]

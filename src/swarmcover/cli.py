@@ -32,10 +32,7 @@ def _config(args) -> GridConfig:
 
 
 def _load_store(path: str, config: GridConfig) -> PointStore:
-    store = PointStore(config.cell_size)
-    for p in parse_points(_read_text(path)):
-        store.insert(p)
-    return store
+    return PointStore(config.cell_size, parse_points(_read_text(path)))
 
 
 def _geometry_line(drone: int, key: int | None, config: GridConfig) -> str:

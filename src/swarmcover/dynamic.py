@@ -224,8 +224,8 @@ class CoverageState:
 
 
 def build(points: Iterable[Point], config: GridConfig) -> CoverageState:
-    """Load points into a fresh store and assign the drones statically."""
-    store = PointStore(config.cell_size)
-    for p in points:
-        store.insert(p)
-    return CoverageState(store, config)
+    """Load points into a fresh store and assign the drones statically.
+
+    The store is bulk-loaded (``PointStore(cell_size, points)``): its state,
+    and any error, is that of inserting the points one by one."""
+    return CoverageState(PointStore(config.cell_size, points), config)

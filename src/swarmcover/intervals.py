@@ -23,8 +23,9 @@ from .store import PointStore
 def _neighborhoods(lefts: np.ndarray, weights: np.ndarray, length: float):
     """Check one axis and sort it stably by left endpoint. Returns (lefts,
     weights, starts, windows): the intervals a point at the j-th left
-    endpoint stabs are starts[j]..j, of total weight windows[j]."""
-    check_size(length, "interval length")
+    endpoint stabs are starts[j]..j, of total weight windows[j]. ``length``
+    may be inf: a right endpoint l + length past the float range stabs every
+    later endpoint, which it would too if it were exact."""
     for values, ok, rule in ((lefts, np.isfinite(lefts), "left endpoint must be finite"),
                              (weights, np.isfinite(weights) & (weights >= 0), "weight must be finite and >= 0")):
         if not ok.all():
@@ -67,6 +68,7 @@ class IntervalInstance:
 
     def __init__(self, items, length: float, m: int):
         check_count(m, "budget", 0)
+        check_size(length, "interval length")
         pairs = np.array([(l, w) for l, w in items], dtype=float).reshape(-1, 2)
         lefts, weights, self._starts, self._windows = _neighborhoods(pairs[:, 0], pairs[:, 1], length)
         self.length = float(length)
@@ -128,7 +130,8 @@ def upper_bound_2d(store: PointStore, config: GridConfig) -> tuple[float, float,
     Each point projects onto an axis as an interval of length 2 * r_cov
     anchored at its coordinate; any m-shape solution pierces m points per
     axis, so each axis bound dominates the planar optimum. Returns
-    (bound_x, bound_y, min of the two).
+    (bound_x, bound_y, min of the two). A disk r_cov past half the float
+    range projects to length inf, which stabs exactly as 2 * r_cov would.
     """
     pts = store.points.values()
     ws = np.fromiter((p.w for p in pts), float, len(pts))

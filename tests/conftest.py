@@ -8,14 +8,7 @@ import random
 
 import numpy as np
 
-from swarmcover import Event, Point, PointStore
-
-
-def make_store(points, cell_size):
-    store = PointStore(cell_size)
-    for p in points:
-        store.insert(Point(p.id, p.x, p.y, p.w))
-    return store
+from swarmcover import Event, Point
 
 
 def straddle_points(weight=1.0):

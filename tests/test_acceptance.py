@@ -11,7 +11,6 @@ import statistics
 import time
 
 from conftest import (
-    make_store,
     random_disk_case,
     random_events,
     random_interval_case,
@@ -23,6 +22,7 @@ from conftest import (
 from swarmcover import (
     GridConfig,
     IntervalInstance,
+    PointStore,
     build,
     cantor_pair,
     cell_key,
@@ -86,11 +86,11 @@ def test_criterion_1_pairing():
 def test_criterion_2_static_square_ratio():
     for points, r_cov, m, opt in square_cases():
         cfg = GridConfig(r_cov, "square", m)
-        sol = static_place(make_store(points, cfg.cell_size), cfg).covered_weight
+        sol = static_place(PointStore(cfg.cell_size, points), cfg).covered_weight
         assert sol >= 0.25 * opt - TOL, (sol, opt, r_cov, m)
     witness = straddle_points()
     cfg = GridConfig(0.5, "square", 1)
-    sol = static_place(make_store(witness, cfg.cell_size), cfg).covered_weight
+    sol = static_place(PointStore(cfg.cell_size, witness), cfg).covered_weight
     opt = exact_square_opt(witness, 0.5, 1).opt_weight
     assert sol / opt == 0.25
 
@@ -101,7 +101,7 @@ def test_criterion_3_static_disk_ratio():
     for _ in range(300):
         points, r_cov, m = random_disk_case(rng)
         cfg = GridConfig(r_cov, "disk", m)
-        sol = static_place(make_store(points, cfg.cell_size), cfg).covered_weight
+        sol = static_place(PointStore(cfg.cell_size, points), cfg).covered_weight
         opt = exact_disk_opt(points, r_cov, m).opt_weight
         assert sol >= opt / 7.0 - TOL, (sol, opt, r_cov, m)
 
@@ -110,7 +110,7 @@ def test_criterion_3_static_disk_ratio():
 def test_criterion_4_4m_dominance():
     for points, r_cov, m, opt in square_cases():
         cfg = GridConfig(r_cov, "square", m)
-        sol = static_place_4m(make_store(points, cfg.cell_size), cfg).covered_weight
+        sol = static_place_4m(PointStore(cfg.cell_size, points), cfg).covered_weight
         assert sol >= opt - TOL, (sol, opt, r_cov, m)
 
 
@@ -171,7 +171,7 @@ def test_criterion_7_dp_and_bound():
         assert abs(best - exact_mwpihp(inst)) <= TOL
     for points, r_cov, m, opt in square_cases():
         cfg = GridConfig(r_cov, "square", m)
-        store = make_store(points, cfg.cell_size)
+        store = PointStore(cfg.cell_size, points)
         _, _, bound = upper_bound_2d(store, cfg)
         assert bound >= opt - TOL, (bound, opt)
 

@@ -51,6 +51,17 @@ def test_place_disk_header_cell_size(tmp_path, capsys):
     assert "disk center_x=" in out
 
 
+def test_place_disk_r_cov_past_half_the_float_range(tmp_path, capsys):
+    # cell size 1.414e308 is finite; the projected length 2 * r_cov is not,
+    # and its intervals still stab exactly: the one point's weight
+    f = tmp_path / "pts.txt"
+    f.write_text("1 0.5 0.5 3.0\n")
+    code, out, err = run_cli(capsys, "place", str(f), "--r-cov", "1e308", "--shape", "disk")
+    assert code == 0 and err == ""
+    assert "covered_weight 3.0" in out
+    assert "bound_x 3.0 bound_y 3.0 bound 3.0" in out
+
+
 def test_place_parse_error_exits_nonzero(tmp_path, capsys):
     f = tmp_path / "pts.txt"
     f.write_text("1 a b c\n")

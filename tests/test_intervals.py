@@ -3,11 +3,12 @@ from bisect import bisect_left
 
 import pytest
 
-from conftest import make_store, random_interval_case, straddle_points
+from conftest import random_interval_case, straddle_points
 from swarmcover import (
     GridConfig,
     IntervalInstance,
     Point,
+    PointStore,
     dp_table,
     exact_mwpihp,
     exact_square_opt,
@@ -113,6 +114,8 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         IntervalInstance([(0, 1)], True, 1)
     with pytest.raises(ValueError):
+        IntervalInstance([(0, 1)], float("inf"), 1)
+    with pytest.raises(ValueError):
         IntervalInstance([(0, -1)], 1.0, 1)
     with pytest.raises(ValueError):
         IntervalInstance([(float("inf"), 1)], 1.0, 1)
@@ -204,29 +207,27 @@ def test_solve_monotone_in_budget_and_weight():
 
 def test_upper_bound_single_point():
     cfg = GridConfig(1.0, "square", 1)
-    store = make_store([Point(1, 3.0, 4.0, 7.0)], cfg.cell_size)
+    store = PointStore(cfg.cell_size, [Point(1, 3.0, 4.0, 7.0)])
     assert upper_bound_2d(store, cfg) == (7.0, 7.0, 7.0)
 
 
 def test_upper_bound_straddle_instance():
     cfg = GridConfig(0.5, "square", 1)
-    store = make_store(straddle_points(), cfg.cell_size)
+    store = PointStore(cfg.cell_size, straddle_points())
     bound_x, bound_y, bound = upper_bound_2d(store, cfg)
     assert bound_x == 4.0 and bound_y == 4.0 and bound == 4.0
 
 
 def test_upper_bound_separated_points():
     cfg = GridConfig(0.5, "square", 1)
-    store = make_store(
-        [Point(1, 0.0, 0.0, 2.0), Point(2, 5.0, 5.0, 3.0)], cfg.cell_size
-    )
+    store = PointStore(cfg.cell_size, [Point(1, 0.0, 0.0, 2.0), Point(2, 5.0, 5.0, 3.0)])
     bound_x, bound_y, bound = upper_bound_2d(store, cfg)
     assert bound_x == 3.0 and bound_y == 3.0 and bound == 3.0
 
 
 def test_upper_bound_empty_store():
     cfg = GridConfig(0.5, "square", 2)
-    store = make_store([], cfg.cell_size)
+    store = PointStore(cfg.cell_size)
     assert upper_bound_2d(store, cfg) == (0.0, 0.0, 0.0)
 
 
@@ -244,7 +245,7 @@ def test_upper_bound_dominates_opt_on_exact_boundary_instance():
         Point(4, 2 * side, 5 * side, 2.3),
     ]
     cfg = GridConfig(r_cov, "square", 2)
-    store = make_store(pts, cfg.cell_size)
+    store = PointStore(cfg.cell_size, pts)
     opt = exact_square_opt(pts, r_cov, 2).opt_weight
     _, _, bound = upper_bound_2d(store, cfg)
     assert bound >= opt - 1e-9
@@ -276,7 +277,7 @@ def test_upper_bound_equals_reference_per_axis():
         m = rng.randint(1, 40)
         pts = [Point(i, x, rng.choice([x, rng.uniform(-50.0, 50.0)]), w) for i, (x, w) in enumerate(xs)]
         cfg = GridConfig(length / 2.0, "square", m)
-        got = upper_bound_2d(make_store(pts, cfg.cell_size), cfg)
+        got = upper_bound_2d(PointStore(cfg.cell_size, pts), cfg)
         assert all(type(v) is float for v in got)
         bound_x = reference_dp([(p.x, p.w) for p in pts], length, m)[3][0]
         bound_y = reference_dp([(p.y, p.w) for p in pts], length, m)[3][0]

@@ -5,12 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_store, random_disk_case, random_interval_case, random_square_case, straddle_points
+from conftest import random_disk_case, random_interval_case, random_square_case, straddle_points
 from swarmcover import (
     GridConfig,
     IntervalInstance,
     OracleSizeError,
     Point,
+    PointStore,
     exact_disk_opt,
     exact_mwpihp,
     exact_square_opt,
@@ -95,7 +96,7 @@ def test_square_dominates_heuristic():
     for _ in range(60):
         points, r_cov, m = random_square_case(rng)
         cfg = GridConfig(r_cov, "square", m)
-        store = make_store(points, cfg.cell_size)
+        store = PointStore(cfg.cell_size, points)
         sol = static_place(store, cfg).covered_weight
         assert exact_square_opt(points, r_cov, m).opt_weight >= sol - 1e-9
 
@@ -171,7 +172,7 @@ def test_disk_dominates_heuristic():
     for _ in range(60):
         points, r_cov, m = random_disk_case(rng)
         cfg = GridConfig(r_cov, "disk", m)
-        store = make_store(points, cfg.cell_size)
+        store = PointStore(cfg.cell_size, points)
         sol = static_place(store, cfg).covered_weight
         assert exact_disk_opt(points, r_cov, m).opt_weight >= sol - 1e-9
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import make_store, random_square_case, straddle_points
+from conftest import random_square_case, straddle_points
 from swarmcover import (
     GUARANTEE,
     CoverageState,
@@ -155,7 +155,7 @@ def test_chosen_square_centers_are_apart():
 def test_straddle_witness_ratio_is_exactly_quarter():
     points = straddle_points()
     cfg = GridConfig(0.5, "square", 1)
-    store = make_store(points, cfg.cell_size)
+    store = PointStore(cfg.cell_size, points)
     sol = static_place(store, cfg).covered_weight
     opt = exact_square_opt(points, 0.5, 1).opt_weight
     assert sol == 1.0
@@ -177,7 +177,7 @@ def test_ratio_certificate_factors():
 def test_static_place_4m_dominates_opt():
     points = straddle_points()
     cfg = GridConfig(0.5, "square", 1)
-    store = make_store(points, cfg.cell_size)
+    store = PointStore(cfg.cell_size, points)
     placement = static_place_4m(store, cfg)
     assert placement.covered_weight == 4.0
     assert len(placement.cells) == 4
@@ -186,7 +186,7 @@ def test_static_place_4m_dominates_opt():
     for _ in range(40):
         pts, r_cov, m = random_square_case(rng)
         cfg = GridConfig(r_cov, "square", m)
-        st = make_store(pts, cfg.cell_size)
+        st = PointStore(cfg.cell_size, pts)
         opt = exact_square_opt(pts, r_cov, m).opt_weight
         assert static_place_4m(st, cfg).covered_weight >= opt - 1e-9
 
@@ -227,8 +227,8 @@ def one_point_per_cell(weights, cell_size, seed=0):
     side = math.isqrt(len(weights)) + 1
     cells = [(a, b) for a in range(-side, side) for b in range(-side, side)]
     random.Random(seed).shuffle(cells)
-    return make_store([Point(i, (a + 0.5) * cell_size, (b + 0.5) * cell_size, w)
-                       for i, (w, (a, b)) in enumerate(zip(weights, cells))], cell_size)
+    return PointStore(cell_size, [Point(i, (a + 0.5) * cell_size, (b + 0.5) * cell_size, w)
+                                  for i, (w, (a, b)) in enumerate(zip(weights, cells))])
 
 
 @pytest.mark.parametrize("family", sorted(RANK_WEIGHTS))

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -321,3 +322,120 @@ def test_store_matches_a_naive_model_op_by_op(seed):
         ("update_weight", "ValueError", "weight"),
         ("update_weight", "ValueError", "overflow"),
     }
+
+
+def _load_one_by_one(r, points):
+    """The reference load: a store filled by insert, or the exception it raised."""
+    store = PointStore(r)
+    try:
+        for p in points:
+            store.insert(p)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return exc
+    return store
+
+
+def _load_in_bulk(r, points):
+    try:
+        return PointStore(r, points)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return exc
+
+
+def _assert_same_load(bulk, seq):
+    """Same points (the caller's objects, in order), same cells in the same
+    order, same counts and weights by repr, so 0.0 and -0.0 differ; or the
+    same exception type and message."""
+    if isinstance(seq, Exception):
+        assert (type(bulk), str(bulk)) == (type(seq), str(seq))
+        return
+    assert list(bulk.points) == list(seq.points)
+    assert all(a is b for a, b in zip(bulk.points.values(), seq.points.values()))
+    assert list(bulk.cells) == list(seq.cells)
+    assert {type(key) for key in bulk.cells} <= {int}
+    assert [repr((agg.weight, agg.count)) for agg in bulk.cells.values()] == \
+        [repr((agg.weight, agg.count)) for agg in seq.cells.values()]
+
+
+def _random_load_case(rng):
+    """(cell size, points): up to 60 points on a few cells around the origin,
+    weights from the extreme set or uniform, ids in shuffled order."""
+    r = rng.choice((0.5, 1.0, rng.uniform(0.1, 3.0)))
+    span = rng.choice((1.0, 3.0, 20.0)) * r
+    ids = list(range(rng.randint(0, 60)))
+    rng.shuffle(ids)
+    points = [
+        Point(pid, rng.uniform(-span, span), rng.uniform(-span, span),
+              rng.choice(_EXTREME_WEIGHTS[:4]) if rng.random() < 0.4 else rng.uniform(0.0, 10.0))
+        for pid in ids
+    ]
+    return r, points
+
+
+_BAD_LOAD_POINTS = (
+    Point(0, 0.1, 0.1, 1.0),  # a duplicate id: every case holds id 0
+    *(Point(-1, 0.1, 0.1, w) for w in (True, 3, 10**400, math.nan, math.inf, -1.0, -5e-324)),
+    *(Point(-1, x, y, 1.0) for x, y in ((None, 0.1), ("0", 0.1), (math.nan, 0.1), (0.1, -math.inf))),
+    Point([1], 0.1, 0.1, 1.0),  # an unhashable id
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_load_equals_inserting_one_by_one(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        r, points = _random_load_case(rng)
+        store = PointStore(r)
+        assert store._bulk_load(points) is bool(points)  # the pass vouches for every plain case
+        _assert_same_load(store, _load_one_by_one(r, points))
+        _assert_same_load(_load_in_bulk(r, iter(points)), _load_one_by_one(r, points))
+        if points:  # one bad point at a random place: the same error as one by one
+            bad = list(points)
+            bad.insert(rng.randrange(len(points) + 1), rng.choice(_BAD_LOAD_POINTS))
+            assert PointStore(r)._bulk_load(bad) is False
+            _assert_same_load(_load_in_bulk(r, bad), _load_one_by_one(r, bad))
+
+
+def test_bulk_load_inputs_the_pass_hands_to_insert():
+    good = [Point(0, 0.5, 0.5, 2.0), Point(1, -0.5, 0.5, 1.0)]
+    cases = [
+        [],
+        *(good + [p] for p in _BAD_LOAD_POINTS),
+        good + [Point(2, 0.5, 0.5, 3)],  # an int weight is taken, as float(3)
+        good + [Point(2, 3, 0.5, 1.0)],  # an int coordinate is taken too
+        # floor(x / r) past the int64 key range of the pass, near and far
+        good + [Point(2, 2.0**29, 0.5, 1.0)],
+        good + [Point(2, 0.5, -(2.0**29) - 1, 1.0)],
+        good + [Point(2, 2.0**31, -(2.0**31), 1.0)],  # a Cantor key past int64
+        good + [Point(2, 1e300, -1e300, 1.0)],
+        # two 1e308 points overflow their cell; no numpy RuntimeWarning either
+        [Point(0, 0.5, 0.5, 1e308), Point(1, 0.6, 0.6, 1e308)],
+    ]
+    for points in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bulk = _load_in_bulk(1.0, points)
+            _assert_same_load(bulk, _load_one_by_one(1.0, points))
+            _assert_same_load(_load_in_bulk(1.0, (p for p in points)), _load_one_by_one(1.0, points))
+            if points:
+                assert PointStore(1.0)._bulk_load(points) is False
+    assert str(_load_in_bulk(1.0, cases[-1])) == "cell weight 1e+308 + 1e+308 overflows the float range"
+
+
+def test_bulk_load_keeps_sums_in_insert_order_and_the_sign_of_zero():
+    # 1e16 + 1.0 rounds back to 1e16, so the order of a cell's sum shows;
+    # the edge indices of the pass's key range key as grid.cell_key does
+    points = [Point(0, 0.5, 0.5, 1.0), Point(1, 0.6, 0.6, 1.0), Point(2, 0.7, 0.7, 1e16),
+              Point(3, 5.5, 5.5, -0.0), Point(4, 5.6, 5.6, -0.0), Point(5, 7.5, 7.5, -0.0),
+              Point(6, 7.6, 7.6, 0.0), Point(7, -(2.0**29), 2.0**29 - 1, 1.0), Point(8, 0.8, 0.8, 1.0)]
+    in_order = 1.0 + 1.0 + 1e16 + 1.0
+    assert in_order != 1e16 + 1.0 + 1.0 + 1.0
+    store = PointStore(1.0)
+    assert store._bulk_load(points)
+    assert {key: repr((agg.weight, agg.count)) for key, agg in store.cells.items()} == {
+        cell_key(0, 0): repr((in_order, 4)),
+        cell_key(5, 5): "(-0.0, 2)",
+        cell_key(7, 7): "(0.0, 2)",
+        cell_key(-(2**29), 2**29 - 1): "(1.0, 1)",
+    }
+    _assert_same_load(store, _load_one_by_one(1.0, points))
